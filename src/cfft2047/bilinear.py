@@ -20,6 +20,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
+import numpy as np
+
+# Rows converted per numpy pass in the text and packing helpers: enough to
+# amortise call overhead, small enough that temporaries stay well under a
+# megabyte at 2047 columns.
+CHUNK_ROWS = 128
+
+
+def pack_rows(bits) -> list:
+    """Row masks of a 2-D 0/1 array: bit j of mask i is bits[i, j]."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _unpack_rows(masks, cols: int):
+    """Inverse of pack_rows: a (len(masks), cols) uint8 array of bits."""
+    width = (cols + 7) // 8
+    raw = b"".join(m.to_bytes(width, "little") for m in masks)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
+    return np.unpackbits(packed, axis=1, count=cols, bitorder="little")
+
 
 class BitMatrix:
     """Dense matrix over GF(2); rows are stored as int bitmasks.
@@ -59,19 +80,50 @@ class BitMatrix:
 
     @classmethod
     def from_text(cls, text: str) -> "BitMatrix":
+        """Parse one row of '0'/'1' characters per line; blank lines and
+        the whitespace around each row are ignored.
+
+        Any other character goes through int(), so other decimal digits
+        for 0 and 1 parse, a non-digit raises int()'s ValueError, and the
+        first row that is ragged or holds another digit is reported."""
         lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-        return cls.from_rows([[int(c) for c in ln] for ln in lines])
+        rows = len(lines)
+        cols = len(lines[0]) if lines else 0
+        ragged = next((i for i, ln in enumerate(lines) if len(ln) != cols), rows)
+        bad = rows  # first row with an entry other than 0 or 1
+        masks = []
+        for start in range(0, rows, CHUNK_ROWS):
+            chunk = lines[start:start + CHUNK_ROWS]
+            chars = np.array(chunk).view(np.uint32).reshape(len(chunk), -1)
+            bits = (chars == ord("1")).view(np.uint8)
+            odd = (chars != ord("0")) & (chars != ord("1"))
+            if odd.any():  # other characters, or the zero padding of short rows
+                odd &= np.arange(chars.shape[1]) < np.array([len(ln) for ln in chunk])[:, None]
+                other = np.nonzero(odd)
+                values = [int(chr(c)) for c in chars[other].tolist()]
+                bits[other] = [v == 1 for v in values]
+                bad_rows = [r for r, v in zip(other[0].tolist(), values) if v not in (0, 1)]
+                if bad_rows and bad == rows:
+                    bad = start + bad_rows[0]
+            if ragged == rows and bad == rows:
+                masks += pack_rows(bits)
+        if ragged < rows or bad < rows:
+            raise ValueError("ragged rows" if ragged <= bad else "entries must be 0 or 1")
+        return cls(rows, cols, masks)
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
         return cls(n, n, [1 << i for i in range(n)])
 
     def to_text(self) -> str:
-        w = self.cols
-        return "\n".join(
-            "".join("1" if (m >> j) & 1 else "0" for j in range(w))
-            for m in self.row_masks
-        )
+        """One line of '0'/'1' characters per row, column 0 first."""
+        chunks = []
+        for start in range(0, self.rows, CHUNK_ROWS):
+            bits = _unpack_rows(self.row_masks[start:start + CHUNK_ROWS], self.cols)
+            lines = np.full((len(bits), self.cols + 1), ord("\n"), dtype=np.uint8)
+            lines[:, :-1] = bits + ord("0")
+            chunks.append(lines.tobytes())
+        return b"".join(chunks)[:-1].decode("ascii")
 
     def entry(self, i: int, j: int) -> int:
         return (self.row_masks[i] >> j) & 1

@@ -110,6 +110,18 @@ def decompose(e: int, basis: NormalBasis) -> int:
     return basis.from_poly.apply_bits(e)
 
 
+def _coordinate_bits(basis: NormalBasis):
+    """(2048, 11) uint8 table: row e holds the bits of decompose(e, basis).
+
+    Coordinates are linear in e: those of e with top bit b are those of
+    e - 2^b xor those of x^b.
+    """
+    coords = np.zeros(2048, dtype=np.uint16)
+    for b in range(11):
+        coords[1 << b : 2 << b] = coords[: 1 << b] ^ decompose(1 << b, basis)
+    return ((coords[:, None] >> np.arange(11, dtype=np.uint16)) & 1).astype(np.uint8)
+
+
 class CfftPlan:
     """Frozen description of one transform of length n."""
 
@@ -191,18 +203,19 @@ def build_plan(field: Field, n: int) -> CfftPlan:
     for _ in big:
         constants.extend(consts43)
 
-    root = field.pow(field.alpha, field.n // n)
-    powers = [1] * n
-    for j in range(1, n):
-        powers[j] = field.mul(powers[j - 1], root)
-
+    # Row j, block b of A holds the normal-basis coordinates of
+    # root^(j * c_b) with root = alpha^(2047 / n), c_b the b-th coset's
+    # representative. Rows are gathered and packed a chunk at a time.
+    coord_bits = _coordinate_bits(basis)
+    reps = np.array([c[0] for c in big], dtype=np.intp)
     row_masks = []
-    for j in range(n):
-        mask = 1  # constant column: the size-1 coset contributes f_0 to every output
-        for bi, c in enumerate(big):
-            bits = decompose(powers[(j * c[0]) % n], basis)
-            mask |= bits << (1 + 11 * bi)
-        row_masks.append(mask)
+    for start in range(0, n, bilinear.CHUNK_ROWS):
+        j = np.arange(start, min(n, start + bilinear.CHUNK_ROWS))
+        elems = field.alpha_pow_vec((j[:, None] * reps) % n * (field.n // n))
+        bits = np.empty((len(j), n), dtype=np.uint8)
+        bits[:, 0] = 1  # constant column: the size-1 coset contributes f_0 to every output
+        bits[:, 1:] = coord_bits[elems].reshape(len(j), -1)
+        row_masks += bilinear.pack_rows(bits)
     a_matrix = BitMatrix(n, n, row_masks)
 
     mult_count = sum(1 for v in constants if v not in (0, 1))
@@ -243,10 +256,12 @@ def evaluate(plan: CfftPlan, f):
     field = plan.field
     nbig, consts, p_sel, q_sel, perm = _eval_cache(plan)
 
-    vec = list(f)
-    if any(not 0 <= v <= field.n for v in vec):
+    vec = np.asarray(f)
+    if vec.ndim != 1 or vec.dtype.kind not in "iu":
+        raise ValueError("elements must be integers")
+    if vec.min() < 0 or vec.max() > field.n:
         raise ValueError("element out of range 0..2047")
-    fp = np.asarray(vec, dtype=np.int16)[perm]
+    fp = vec.astype(np.int16)[perm]
 
     lam = [int(fp[0])]
     if nbig:
@@ -319,20 +334,58 @@ def plan_to_json(plan: CfftPlan) -> str:
     return json.dumps(doc, indent=None, separators=(",", ":"), sort_keys=True)
 
 
+def _is_int(v) -> bool:
+    return type(v) is int  # JSON integers only: no floats, no booleans
+
+
+def _list_of(valid):
+    return lambda v: isinstance(v, list) and all(map(valid, v))
+
+
+def _require(doc: dict, key: str, valid, what: str):
+    """doc[key], after checking that it is present and valid(value)."""
+    if key not in doc:
+        raise ValueError(f"plan document has no {key!r}")
+    if not valid(doc[key]):
+        raise ValueError(f"plan {key!r} is not {what}")
+    return doc[key]
+
+
 def plan_from_json(text: str) -> CfftPlan:
+    """Inverse of plan_to_json. A document that is not a consistent plan
+    raises ValueError; add_count is taken as stored."""
     doc = json.loads(text)
-    if doc.get("format") != "cfft2047-plan":
+    if not isinstance(doc, dict) or doc.get("format") != "cfft2047-plan":
         raise ValueError("not a plan document")
-    field = Field(doc["field"]["genpoly"])
-    n = doc["n"]
-    table = CosetTable(n=n, cosets=tuple(tuple(c) for c in doc["cosets"]))
-    permutation = tuple(doc["permutation"])
-    constants = tuple(doc["constants"])
+    field_doc = _require(doc, "field", lambda v: isinstance(v, dict), "an object")
+    field = Field(_require(field_doc, "genpoly", _is_int, "an integer"))
+    n = _require(doc, "n", _is_int, "an integer")
+    ints = _list_of(_is_int)
+    cosets_doc = _require(doc, "cosets", _list_of(ints), "a list of integer lists")
+    table = CosetTable(n=n, cosets=tuple(tuple(c) for c in cosets_doc))
+    permutation = tuple(_require(doc, "permutation", ints, "a list of integers"))
+    constants = tuple(_require(doc, "constants", ints, "a list of integers"))
+    rows = _require(doc, "a_matrix", _list_of(lambda r: isinstance(r, str)),
+                    "a list of strings")
+    gamma_exponent = _require(doc, "gamma_exponent", _is_int, "an integer")
+    mult_count = _require(doc, "mult_count", _is_int, "an integer")
+    add_count = _require(doc, "add_count", _is_int, "an integer")
+    if table != cosets(n):
+        raise ValueError("coset table does not match n")
     if sorted(permutation) != list(range(n)):
         raise ValueError("permutation is not a bijection")
     if any(v < 0 or v > field.n for v in constants):
         raise ValueError("constant out of range")
-    rows = doc["a_matrix"]
+    nbig = sum(1 for c in table.cosets if len(c) == 11)
+    if len(constants) != 1 + 43 * nbig:
+        raise ValueError(
+            f"expected {1 + 43 * nbig} constants for {nbig} size-11 cosets, "
+            f"got {len(constants)}"
+        )
+    if mult_count != sum(1 for v in constants if v not in (0, 1)):
+        raise ValueError("mult_count does not match the constants")
+    if gamma_exponent != find_normal_basis(field).exponent:
+        raise ValueError("gamma_exponent does not match the field's normal basis")
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError("recombination matrix has wrong shape")
     a_matrix = BitMatrix.from_text("\n".join(rows))
@@ -340,10 +393,10 @@ def plan_from_json(text: str) -> CfftPlan:
         field=field,
         n=n,
         coset_table=table,
-        gamma_exponent=doc["gamma_exponent"],
+        gamma_exponent=gamma_exponent,
         permutation=permutation,
         constants=constants,
         a_matrix=a_matrix,
-        mult_count=doc["mult_count"],
-        add_count=doc["add_count"],
+        mult_count=mult_count,
+        add_count=add_count,
     )

@@ -243,7 +243,17 @@ def cmd_complexity(args) -> int:
 def cmd_bench(args) -> int:
     field = Field()
     rng = random.Random(args.seed)
+    marks = [time.perf_counter()]
     plan = cfft.build_plan(field, args.n)
+    marks.append(time.perf_counter())
+    text = cfft.plan_to_json(plan)
+    marks.append(time.perf_counter())
+    loaded = cfft.plan_from_json(text)
+    marks.append(time.perf_counter())
+    build_s, save_s, load_s = (b - a for a, b in zip(marks, marks[1:]))
+    if loaded != plan:
+        print("FAIL bench plan does not survive a JSON round trip")
+        return 1
     vecs = [[rng.randrange(2048) for _ in range(args.n)] for _ in range(args.trials)]
     plan_times, naive_times = [], []
     for v in vecs:
@@ -259,6 +269,9 @@ def cmd_bench(args) -> int:
     pm = statistics.median(plan_times)
     nm = statistics.median(naive_times)
     print(f"n = {args.n}, trials = {args.trials}")
+    print(f"build_plan:             {build_s * 1e3:.3f} ms")
+    print(f"plan_to_json:           {save_s * 1e3:.3f} ms")
+    print(f"plan_from_json:         {load_s * 1e3:.3f} ms")
     print(f"plan evaluation median: {pm * 1e3:.3f} ms")
     print(f"naive DFT median:       {nm * 1e3:.3f} ms")
     print(f"speedup: {nm / pm:.2f}x")

@@ -116,6 +116,10 @@ class Field:
         b = np.asarray(b)
         return self._expv[self._logv[a] + self._logv[b]]
 
+    def alpha_pow_vec(self, e):
+        """alpha^e elementwise for an array of exponents in [0, 2n) (numpy)."""
+        return self._expv[np.asarray(e)]
+
     def __repr__(self) -> str:
         return f"Field(genpoly={self.genpoly:#x})"
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cfft2047 import (
     BitMatrix,
@@ -45,6 +46,96 @@ def test_bitmatrix_roundtrip_and_ops():
     assert m.apply_bits(0b101) == 0b10  # row0: cols 0,2 cancel; row1: col 2 only
     assert m.apply_field([3, 5, 6]) == [3 ^ 6, 5 ^ 6]
     assert m.apply_field_packed([3, 5, 6]) == [3 ^ 6, 5 ^ 6]
+
+
+def _per_bit_text(m):
+    """Reference rendering: one character per entry, one row per line."""
+    return "\n".join(
+        "".join("1" if (mask >> j) & 1 else "0" for j in range(m.cols))
+        for mask in m.row_masks
+    )
+
+
+def _per_char_parse(text):
+    """Reference parse: int() of every character, then row-by-row checks."""
+    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+    return BitMatrix.from_rows([[int(c) for c in ln] for ln in lines])
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@st.composite
+def bit_matrices(draw):
+    rows = draw(st.integers(0, 20))
+    cols = draw(st.integers(1, 40)) if rows else 0
+    masks = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
+    return BitMatrix(rows, cols, masks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bit_matrices())
+def test_bitmatrix_text_matches_per_bit_reference(m):
+    text = m.to_text()
+    assert text == _per_bit_text(m)
+    assert BitMatrix.from_text(text) == m
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (1, 1), (3, 7), (2, 8), (5, 9), (130, 17)])
+def test_bitmatrix_text_edge_shapes(shape):
+    rows, cols = shape
+    rng = random.Random(rows * 100 + cols)
+    m = BitMatrix(rows, cols, [rng.getrandbits(cols) for _ in range(rows)])
+    assert m.to_text() == _per_bit_text(m)
+    assert BitMatrix.from_text(m.to_text()) == m
+    assert BitMatrix.from_text(m.to_text()) == _per_char_parse(m.to_text())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0011 \t\n2x\u0661\uff10", max_size=60))
+def test_bitmatrix_from_text_matches_per_char_reference(text):
+    # U+0661 and U+FF10 are decimal digits (one, zero) that int() accepts
+    assert _outcome(BitMatrix.from_text, text) == _outcome(_per_char_parse, text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("101\n11", "ragged rows"),
+    ("101\n121", "entries must be 0 or 1"),
+    ("101\n1x1", "invalid literal for int() with base 10: 'x'"),
+    ("121\n11", "entries must be 0 or 1"),
+    ("10\n1\n12", "ragged rows"),
+    ("101\n12", "ragged rows"),
+    ("12\n1x", "invalid literal for int() with base 10: 'x'"),
+    ("1 0", "invalid literal for int() with base 10: ' '"),
+])
+def test_bitmatrix_from_text_errors(text, message):
+    with pytest.raises(ValueError) as exc:
+        BitMatrix.from_text(text)
+    assert str(exc.value) == message
+    assert _outcome(_per_char_parse, text) == ("ValueError", message)
+
+
+def test_bitmatrix_from_text_ignores_blank_and_padded_lines():
+    m = BitMatrix.from_text("\n\n  101 \n\t\n011\t\n\n")
+    assert m == BitMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
+    assert BitMatrix.from_text("") == BitMatrix(0, 0, [])
+    assert BitMatrix.from_text(" \n\t\n") == BitMatrix(0, 0, [])
+
+
+def test_bitmatrix_from_text_reports_first_bad_row_across_chunks():
+    good = "01" * 20
+    lines = [good] * (bilinear.CHUNK_ROWS + 10)
+    lines[bilinear.CHUNK_ROWS + 3] = good[:-1] + "2"
+    lines[bilinear.CHUNK_ROWS + 5] = good[:-1]
+    with pytest.raises(ValueError, match="entries must be 0 or 1"):
+        BitMatrix.from_text("\n".join(lines))
+    lines[bilinear.CHUNK_ROWS + 1] = good + "0"
+    with pytest.raises(ValueError, match="ragged rows"):
+        BitMatrix.from_text("\n".join(lines))
 
 
 def test_bitmatrix_rank_inverse():

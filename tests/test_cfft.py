@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from cfft2047 import (
@@ -155,6 +156,24 @@ def test_evaluate_errors(plan23):
         evaluate(plan23, [0] * 22 + [4096])
 
 
+@pytest.mark.parametrize("bad", [5.7, 5.0, "5", None])
+def test_evaluate_rejects_non_integer_elements(plan23, bad):
+    with pytest.raises(ValueError):
+        evaluate(plan23, [0] * 22 + [bad])
+
+
+def test_evaluate_accepts_integer_arrays(field, plan23):
+    f = random_vector(random.Random(9), 23)
+    want = oracle.naive_dft(field, f)
+    assert evaluate(plan23, f) == want
+    for dtype in (np.int16, np.int64, np.uint16):
+        assert evaluate(plan23, np.array(f, dtype=dtype)) == want
+    with pytest.raises(ValueError):
+        evaluate(plan23, np.array([0] * 22 + [-1]))
+    with pytest.raises(ValueError):
+        evaluate(plan23, np.full(23, 3.0))
+
+
 def test_plan_n1(field):
     plan = build_plan(field, 1)
     assert complexity(plan) == (0, 0)
@@ -187,6 +206,32 @@ def test_plan2047_structure(field, plan2047):
 def test_plan2047_column_of_ones(plan2047):
     # the size-1 coset feeds f_0 into every output row
     assert all(mask & 1 for mask in plan2047.a_matrix.row_masks)
+
+
+def _check_a_rows(field, plan, rows):
+    """Row j of A: bit 0 set, block b = decompose(alpha^((j*c_b mod n)*2047/n))."""
+    n = plan.n
+    basis = find_normal_basis(field)
+    reps = [c[0] for c in plan.big_cosets]
+    for j in rows:
+        mask = plan.a_matrix.row_masks[j]
+        assert mask & 1, f"row {j}"
+        for b, c in enumerate(reps):
+            elem = field.pow(field.alpha, (j * c) % n * (2047 // n))
+            want = decompose(elem, basis)
+            assert (mask >> (1 + 11 * b)) & 0x7FF == want, f"row {j}, block {b}"
+
+
+@pytest.mark.parametrize("n", [1, 23, 89])
+def test_a_matrix_rows_match_definition(field, n):
+    plan = build_plan(field, n)
+    assert plan.a_matrix.rows == plan.a_matrix.cols == n
+    _check_a_rows(field, plan, range(n))
+
+
+def test_a_matrix_rows_match_definition_2047(field, plan2047):
+    rows = random.Random(8).sample(range(2047), 64)
+    _check_a_rows(field, plan2047, rows)
 
 
 def test_evaluate_2047(field, plan2047):
@@ -256,3 +301,67 @@ def test_plan_from_json_validation(plan23):
 def test_build_plan_rejects_bad_length(field):
     with pytest.raises(ValueError):
         build_plan(field, 11)
+
+
+PLAN_KEYS = ("field", "n", "cosets", "gamma_exponent", "permutation",
+             "constants", "a_matrix", "mult_count", "add_count")
+
+
+@pytest.mark.parametrize("key", PLAN_KEYS)
+def test_plan_from_json_missing_key(plan23, key):
+    doc = json.loads(plan_to_json(plan23))
+    del doc[key]
+    with pytest.raises(ValueError, match=repr(key)):
+        plan_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("edit", [lambda f: f.pop("genpoly"),
+                                  lambda f: f.update(genpoly="0x805")])
+def test_plan_from_json_rejects_bad_genpoly(plan23, edit):
+    doc = json.loads(plan_to_json(plan23))
+    edit(doc["field"])
+    with pytest.raises(ValueError, match="genpoly"):
+        plan_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("text", ["[]", "3", '"cfft2047-plan"'])
+def test_plan_from_json_rejects_non_objects(text):
+    with pytest.raises(ValueError, match="not a plan document"):
+        plan_from_json(text)
+
+
+def test_plan_from_json_rejects_inconsistent_counts(plan23):
+    def load(edit):
+        doc = json.loads(plan_to_json(plan23))
+        edit(doc)
+        return plan_from_json(json.dumps(doc))
+
+    # a trivial constant more or less leaves mult_count consistent
+    with pytest.raises(ValueError, match="expected 87 constants"):
+        load(lambda d: d["constants"].append(1))
+    with pytest.raises(ValueError, match="expected 87 constants"):
+        load(lambda d: d["constants"].pop(0))
+    with pytest.raises(ValueError, match="mult_count"):
+        load(lambda d: d.update(mult_count=d["mult_count"] + 1))
+    with pytest.raises(ValueError, match="mult_count"):
+        load(lambda d: d["constants"].__setitem__(2, 1))
+    with pytest.raises(ValueError, match="gamma_exponent"):
+        load(lambda d: d.update(gamma_exponent=10))
+    with pytest.raises(ValueError, match="coset table"):
+        load(lambda d: d["cosets"].pop())
+    # add_count is not recomputed: a stored count loads as written
+    assert load(lambda d: d.update(add_count=d["add_count"] + 1)).add_count == \
+        plan23.add_count + 1
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n", "23"), ("n", 23.0), ("n", True), ("cosets", [[0], "1"]),
+    ("permutation", [0.0] * 23), ("constants", ["7"] * 87), ("a_matrix", 5),
+    ("a_matrix", [1] * 23), ("gamma_exponent", None), ("mult_count", 84.0),
+    ("add_count", "552"), ("field", []),
+])
+def test_plan_from_json_rejects_wrong_types(plan23, key, value):
+    doc = json.loads(plan_to_json(plan23))
+    doc[key] = value
+    with pytest.raises(ValueError, match=repr(key)):
+        plan_from_json(json.dumps(doc))

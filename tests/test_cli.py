@@ -157,5 +157,41 @@ def test_cse_command(capsys):
 def test_bench_plan_beats_naive_at_2047(capsys):
     code, out, _ = run_cli(capsys, "bench", "--n", "2047", "--trials", "3")
     assert code == 0
-    speedup = float(out.strip().splitlines()[-1].split()[-1].rstrip("x"))
+    lines = out.strip().splitlines()
+    speedup = float(lines[-1].split()[-1].rstrip("x"))
     assert speedup > 1.0
+    times = {}
+    for ln in lines:
+        name, _, value = ln.partition(":")
+        if value.strip().endswith(" ms"):
+            times[name] = float(value.split()[0])
+    for name in ("build_plan", "plan_to_json", "plan_from_json"):
+        assert 0 < times[name] < 60_000, name
+
+
+def test_eval_rejects_plan_missing_key(capsys, tmp_path, plan23):
+    from cfft2047 import plan_to_json
+
+    doc = json.loads(plan_to_json(plan23))
+    del doc["mult_count"]
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(doc))
+    src = tmp_path / "in.hex"
+    src.write_text("0x000\n" * 23)
+    code, _, err = run_cli(capsys, "eval", "--n", "23", "--in", str(src),
+                           "--out", str(tmp_path / "o.hex"), "--plan", str(bad_path))
+    assert code == 2
+    assert "mult_count" in err
+
+
+def test_verify_rejects_inconsistent_plan(capsys, tmp_path, plan23):
+    from cfft2047 import plan_to_json
+
+    doc = json.loads(plan_to_json(plan23))
+    doc["gamma_exponent"] += 1
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "verify", "--n", "23", "--trials", "1",
+                           "--plan", str(bad_path))
+    assert code == 2
+    assert "gamma_exponent" in err
