@@ -26,13 +26,11 @@ from .cfft import (
     decompose,
     build_plan,
     evaluate,
-    complexity,
-    combined_add_count,
     plan_to_json,
     plan_from_json,
     SUPPORTED_LENGTHS,
 )
-from .slp import Slp, compile_plan, compile_bilinear, greedy_cse
+from .slp import Slp, compile_plan, compile_bilinear, equivalent, greedy_cse
 from . import oracle
 
 __version__ = "0.1.0"
@@ -61,8 +59,6 @@ __all__ = [
     "decompose",
     "build_plan",
     "evaluate",
-    "complexity",
-    "combined_add_count",
     "plan_to_json",
     "plan_from_json",
     "SUPPORTED_LENGTHS",
@@ -70,6 +66,7 @@ __all__ = [
     "compile_plan",
     "compile_bilinear",
     "greedy_cse",
+    "equivalent",
     "oracle",
     "__version__",
 ]

@@ -187,15 +187,15 @@ class BitMatrix:
             out.append(acc)
         return out
 
-    def apply_field_packed(self, vec, width: int = 11):
-        """Same result as apply_field, via bit planes.
+    def apply_field_packed(self, vec):
+        """Same result as apply_field for GF(2^11) elements, via bit planes.
 
         Much faster for wide matrices: one AND+popcount per (row, plane)
         instead of one XOR per matrix entry.
         """
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        planes = [0] * width
+        planes = [0] * 11
         for i, v in enumerate(vec):
             b = 0
             while v:
@@ -206,7 +206,7 @@ class BitMatrix:
         out = []
         for m in self.row_masks:
             acc = 0
-            for b in range(width):
+            for b in range(11):
                 if (m & planes[b]).bit_count() & 1:
                     acc |= 1 << b
             out.append(acc)

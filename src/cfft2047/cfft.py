@@ -281,36 +281,7 @@ def evaluate(plan: CfftPlan, f):
             out_blocks[:, s] = col
         lam.extend(int(v) for v in out_blocks.reshape(-1))
 
-    return plan.a_matrix.apply_field_packed(lam, width=11)
-
-
-def complexity(plan: CfftPlan):
-    """(multiplications, additions) under the direct convention.
-
-    Multiplications count the constants outside {0, 1}; additions sum, over
-    every stage matrix, the per-row population count minus one.
-    """
-    return plan.mult_count, plan.add_count
-
-
-def combined_add_count(plan: CfftPlan) -> int:
-    """Additions when the recombination matrix and the per-coset output
-    stages are folded into one wide matrix (the per-stage count is the
-    default convention; this is the alternative reading)."""
-    alg = bilinear.conv11_matrices()
-    qrows = alg.q.row_masks
-    nbig = len(plan.big_cosets)
-    total = len(plan.big_cosets) * _stage_add_count(alg.p)
-    for mask in plan.a_matrix.row_masks:
-        combined = mask & 1
-        for bi in range(nbig):
-            bits = (mask >> (1 + 11 * bi)) & 0x7FF
-            while bits:
-                low = bits & -bits
-                combined ^= qrows[low.bit_length() - 1] << (1 + 43 * bi)
-                bits ^= low
-        total += max(0, combined.bit_count() - 1)
-    return total
+    return plan.a_matrix.apply_field_packed(lam)
 
 
 # ---------------------------------------------------------------------------

@@ -16,32 +16,19 @@ import time
 from . import bilinear, cfft, oracle, slp
 from .gf import Field
 
-MATRIX_NAMES = {}
-
-
-def _matrix_by_name(name: str):
-    global MATRIX_NAMES
-    if not MATRIX_NAMES:
-        t5 = bilinear.t5_matrices()
-        c11 = bilinear.conv11_matrices()
-        pis = bilinear.coefficient_maps() + bilinear.input_maps()
-        MATRIX_NAMES = {
-            "T": bilinear.forward_matrix(),
-            "S": bilinear.output_matrix(),
-            "PI0": pis[0],
-            "PI1": pis[1],
-            "PI2": pis[2],
-            "PI3": pis[3],
-            "PI4": pis[4],
-            "PI5": pis[5],
-            "PT5": t5.p,
-            "RT5": t5.r,
-            "QT5": t5.q,
-            "P11": c11.p,
-            "R11": c11.r,
-            "Q11": c11.q,
-        }
-    return MATRIX_NAMES[name]
+# Matrices that `dump` prints, by name; each factory returns a BitMatrix.
+MATRICES = {
+    "T": bilinear.forward_matrix,
+    "S": bilinear.output_matrix,
+    **{f"PI{k}": lambda k=k: bilinear.coefficient_maps()[k] for k in range(3)},
+    **{f"PI{k + 3}": lambda k=k: bilinear.input_maps()[k] for k in range(3)},
+    "PT5": lambda: bilinear.t5_matrices().p,
+    "RT5": lambda: bilinear.t5_matrices().r,
+    "QT5": lambda: bilinear.t5_matrices().q,
+    "P11": lambda: bilinear.conv11_matrices().p,
+    "R11": lambda: bilinear.conv11_matrices().r,
+    "Q11": lambda: bilinear.conv11_matrices().q,
+}
 
 
 def _read_hex_vector(path: str, n: int):
@@ -60,11 +47,14 @@ def _write_hex_vector(path: str, vals):
             fh.write(f"0x{v:03x}\n")
 
 
-def _load_or_build_plan(args, field: Field) -> cfft.CfftPlan:
-    if getattr(args, "plan", None):
-        with open(args.plan) as fh:
-            return cfft.plan_from_json(fh.read())
-    return cfft.build_plan(field, args.n)
+def _load_or_build_plan(args) -> cfft.CfftPlan:
+    if not args.plan:
+        return cfft.build_plan(Field(), args.n)
+    with open(args.plan) as fh:
+        plan = cfft.plan_from_json(fh.read())
+    if plan.n != args.n:
+        raise ValueError(f"--n {args.n} does not match the plan's length {plan.n}")
+    return plan
 
 
 def cmd_cosets(args) -> int:
@@ -99,8 +89,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    field = Field()
-    plan = _load_or_build_plan(args, field)
+    plan = _load_or_build_plan(args)
     vec = _read_hex_vector(args.infile, plan.n)
     out = cfft.evaluate(plan, vec)
     _write_hex_vector(args.out, out)
@@ -116,7 +105,9 @@ def _first_mismatch(got, want):
 
 
 def cmd_verify(args) -> int:
-    field = Field()
+    # every suite runs over the plan's field, which a plan file may set
+    plan = _load_or_build_plan(args)
+    field = plan.field
     rng = random.Random(args.seed)
     failures = 0
 
@@ -193,7 +184,6 @@ def cmd_verify(args) -> int:
 
     # transform-plan suite
     ok, detail = True, ""
-    plan = _load_or_build_plan(args, field)
     n = plan.n
     units = range(n) if n <= 89 else range(20)
     for i in units:
@@ -226,7 +216,6 @@ def cmd_complexity(args) -> int:
         "n": plan.n,
         "mult": plan.mult_count,
         "add_direct_stages": plan.add_count,
-        "add_direct_combined": cfft.combined_add_count(plan),
         "add_after_cse": optimized.xor_count,
     }
     if args.format == "json":
@@ -235,7 +224,6 @@ def cmd_complexity(args) -> int:
     print(f"n = {rows['n']}")
     print(f"mult = {rows['mult']}")
     print(f"add(direct, per-stage) = {rows['add_direct_stages']}")
-    print(f"add(direct, combined output matrix) = {rows['add_direct_combined']}")
     print(f"add(cse) = {rows['add_after_cse']}")
     return 0
 
@@ -279,7 +267,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_dump(args) -> int:
-    print(_matrix_by_name(args.name).to_text())
+    print(MATRICES[args.name]().to_text())
     return 0
 
 
@@ -292,6 +280,10 @@ def cmd_cse(args) -> int:
         f"n={args.n}: xor {program.xor_count} -> {optimized.xor_count}, "
         f"cmul {program.cmul_count} -> {optimized.cmul_count}"
     )
+    if not slp.equivalent(program, optimized):
+        print("FAIL optimized program is not equivalent to the compiled one")
+        return 1
+    print("PASS optimized program is equivalent to the compiled one")
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(optimized.to_text())
@@ -361,10 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("dump", help="print a named matrix as 0/1 rows")
-    p.add_argument("name", choices=(
-        "T", "S", "PI0", "PI1", "PI2", "PI3", "PI4", "PI5",
-        "PT5", "RT5", "QT5", "P11", "R11", "Q11",
-    ))
+    p.add_argument("name", choices=tuple(MATRICES))
     p.set_defaults(func=cmd_dump)
 
     p = sub.add_parser("cse", help="compile a plan and reduce its xor count")

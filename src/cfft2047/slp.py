@@ -13,18 +13,17 @@ header that makes the file self-describing):
     t13 = cmul 0x1a9 t12
     out0 = t13
 
-Two evaluators are provided: `run` interprets one input vector at a time;
-`run_batch` packs many vectors into big-int bit planes and evaluates them
-simultaneously, which is what makes equivalence checks on multi-million
-instruction programs affordable. Both produce identical results.
+`run` interprets a program on one input vector. `equivalent` compares two
+programs without running them: each output becomes a parity set over atoms
+(the inputs and the cmul results), and equal sets prove that the programs
+agree on every input. That is how the rewrites `greedy_cse` makes to the
+multi-million instruction n = 2047 program are checked.
 """
 
 from __future__ import annotations
 
 import heapq
 from array import array
-
-import numpy as np
 
 from . import bilinear, cfft
 
@@ -99,88 +98,6 @@ class Slp:
             else:
                 values[base + i] = mul(op_b[i], values[op_a[i]])
         return [values[o] for o in self.outputs]
-
-    def run_batch(self, field, batch):
-        """Evaluate many input vectors at once via bit-plane packing."""
-        if not batch:
-            return []
-        nb = len(batch)
-        arr = np.array(batch, dtype=np.int64)
-        if arr.shape != (nb, self.n_inputs):
-            raise ValueError("batch rows must all have the input arity")
-        width = field.m
-        mask_all = (1 << nb) - 1
-
-        kinds, op_a, op_b = self.kinds, self.op_a, self.op_b
-        n_ids = self.n_inputs + len(kinds)
-        last_use = [-1] * n_ids
-        for i in range(len(kinds)):
-            last_use[op_a[i]] = i
-            if kinds[i] == XOR:
-                last_use[op_b[i]] = i
-        for o in self.outputs:
-            last_use[o] = len(kinds)  # never freed
-
-        values: list = [None] * n_ids
-        for i in range(self.n_inputs):
-            col = arr[:, i]
-            packed = 0
-            for b in range(width):
-                bits = ((col >> b) & 1).astype(np.uint8)
-                plane = int.from_bytes(
-                    np.packbits(bits, bitorder="little").tobytes(), "little"
-                )
-                packed |= plane << (b * nb)
-            values[i] = packed
-
-        cmul_rows: dict = {}
-        base = self.n_inputs
-        for i in range(len(kinds)):
-            a = op_a[i]
-            if kinds[i] == XOR:
-                b = op_b[i]
-                v = values[a] ^ values[b]
-                if last_use[b] == i:
-                    values[b] = None
-            else:
-                c = op_b[i]
-                rows = cmul_rows.get(c)
-                if rows is None:
-                    # rows[b] selects the planes whose xor is output plane b
-                    rows = [0] * width
-                    for p in range(width):
-                        prod = field.mul(c, 1 << p)
-                        for b in range(width):
-                            if (prod >> b) & 1:
-                                rows[b] |= 1 << p
-                    cmul_rows[c] = rows
-                src = values[a]
-                planes = [(src >> (p * nb)) & mask_all for p in range(width)]
-                v = 0
-                for b in range(width):
-                    acc = 0
-                    rm = rows[b]
-                    while rm:
-                        low = rm & -rm
-                        acc ^= planes[low.bit_length() - 1]
-                        rm ^= low
-                    v |= acc << (b * nb)
-            values[base + i] = v
-            if last_use[a] == i:
-                values[a] = None
-
-        n_bytes = (nb + 7) // 8
-        results = np.zeros((nb, len(self.outputs)), dtype=np.int16)
-        for oi, o in enumerate(self.outputs):
-            v = values[o]
-            for b in range(width):
-                plane = (v >> (b * nb)) & mask_all
-                bits = np.unpackbits(
-                    np.frombuffer(plane.to_bytes(n_bytes, "little"), dtype=np.uint8),
-                    bitorder="little",
-                )[:nb]
-                results[:, oi] |= bits.astype(np.int16) << b
-        return [[int(x) for x in row] for row in results]
 
     def to_text(self) -> str:
         lines = [f"slp {self.n_inputs} {len(self.outputs)}"]
@@ -602,3 +519,62 @@ def greedy_cse(slp: Slp, budget: int = 5_000_000) -> Slp:
     if optimized.xor_count < deduped.xor_count:
         return optimized
     return deduped
+
+
+# ---------------------------------------------------------------------------
+# Exact equivalence.
+# ---------------------------------------------------------------------------
+
+
+def _parity_sets(slp: Slp, atoms: dict) -> list:
+    """Each output as a parity set of atoms, an int with bit k for atom k.
+
+    Inputs are atoms 0..n_inputs-1; every distinct (constant, operand parity
+    set) of a cmul is one further atom, numbered through `atoms`. A value is
+    dropped after its last use, which keeps the n = 2047 program's long xor
+    chains from holding millions of wide sets at once.
+    """
+    n_in, n = slp.n_inputs, slp.n_instructions
+    instructions = (range(n), slp.kinds, slp.op_a, slp.op_b)
+    last_use = [-1] * (n_in + n)
+    for i, kind, a, b in zip(*instructions):
+        last_use[a] = i
+        if kind == XOR:
+            last_use[b] = i
+    for o in slp.outputs:
+        last_use[o] = n  # never dropped
+
+    values = [1 << i for i in range(n_in)] + [None] * n
+    for i, kind, a, b in zip(*instructions):
+        if kind == XOR:
+            v = values[a] ^ values[b]
+            if last_use[b] == i:
+                values[b] = None
+        else:
+            key = (b, values[a])
+            atom = atoms.get(key)
+            if atom is None:
+                atom = atoms[key] = n_in + len(atoms)
+            v = 1 << atom
+        values[n_in + i] = v
+        if last_use[a] == i:
+            values[a] = None
+    return [values[o] for o in slp.outputs]
+
+
+def equivalent(a: Slp, b: Slp) -> bool:
+    """True when the two programs are formally equal, output by output.
+
+    Each output is reduced to a parity set over atoms: the inputs, and
+    cmul(c, x) keyed by c and the parity set of x, with one atom table
+    shared by both programs. Equal sets are equal functions, so True proves
+    the programs agree on every input: the check is sound. It is not
+    complete: a rewrite that distributes a cmul over an xor, such as
+    c*(x^y) -> c*x ^ c*y, yields different atoms and reads as not
+    equivalent. `greedy_cse` only re-associates and shares xors, which
+    never changes a parity set.
+    """
+    if a.n_inputs != b.n_inputs:
+        return False
+    atoms: dict = {}
+    return _parity_sets(a, atoms) == _parity_sets(b, atoms)

@@ -1,7 +1,10 @@
 import json
 import random
 
-from cfft2047 import Slp, build_plan, plan_from_json, oracle
+import pytest
+
+from cfft2047 import BitMatrix, Field, Slp, build_plan, plan_from_json, plan_to_json, oracle
+from cfft2047 import cli
 from cfft2047.cli import main
 
 from conftest import random_vector
@@ -136,6 +139,11 @@ def test_dump(capsys):
     assert all(len(ln) == 43 for ln in lines)
     code, _, _ = run_cli(capsys, "dump", "NOPE")
     assert code == 2
+    assert len(cli.MATRICES) == 14
+    for name, factory in cli.MATRICES.items():
+        code, out, _ = run_cli(capsys, "dump", name)
+        assert code == 0, name
+        assert BitMatrix.from_text(out) == factory(), name
 
 
 def test_emit_and_parse(capsys, tmp_path, field, prog23):
@@ -152,6 +160,21 @@ def test_cse_command(capsys):
     assert code == 0
     assert "xor 552 ->" in out
     assert "cmul 84 -> 84" in out
+    assert "PASS optimized program is equivalent" in out
+
+
+def test_cse_command_fails_on_wrong_rewrite(capsys, monkeypatch, tmp_path):
+    def swap_outputs(prog):
+        outputs = list(prog.outputs)
+        outputs[0], outputs[1] = outputs[1], outputs[0]
+        return Slp(prog.n_inputs, prog.kinds, prog.op_a, prog.op_b, outputs)
+
+    monkeypatch.setattr(cli.slp, "greedy_cse", swap_outputs)
+    out_path = tmp_path / "p.slp"
+    code, out, _ = run_cli(capsys, "cse", "--n", "23", "--out", str(out_path))
+    assert code == 1
+    assert "FAIL optimized program is not equivalent" in out
+    assert not out_path.exists()
 
 
 def test_bench_plan_beats_naive_at_2047(capsys):
@@ -195,3 +218,56 @@ def test_verify_rejects_inconsistent_plan(capsys, tmp_path, plan23):
                            "--plan", str(bad_path))
     assert code == 2
     assert "gamma_exponent" in err
+
+
+OTHER_GENPOLY = (1 << 11) | (1 << 9) | 1  # x^11 + x^9 + 1, also primitive
+
+
+@pytest.fixture
+def other_field_plan_path(tmp_path):
+    path = tmp_path / "p23.json"
+    path.write_text(plan_to_json(build_plan(Field(OTHER_GENPOLY), 23)))
+    return path
+
+
+def test_verify_plan_over_its_own_field(capsys, other_field_plan_path):
+    code, out, _ = run_cli(capsys, "verify", "--n", "23", "--trials", "5",
+                           "--plan", str(other_field_plan_path))
+    assert code == 0, out
+    assert out.count("PASS") == 4
+
+
+def test_eval_plan_builds_no_field(capsys, monkeypatch, tmp_path, other_field_plan_path):
+    def no_field(*args):
+        raise AssertionError("eval --plan built a Field")
+
+    monkeypatch.setattr(cli, "Field", no_field)
+    rng = random.Random(1)
+    vec = random_vector(rng, 23)
+    src = tmp_path / "in.hex"
+    dst = tmp_path / "out.hex"
+    src.write_text("".join(f"0x{v:03x}\n" for v in vec))
+    code, _, _ = run_cli(capsys, "eval", "--n", "23", "--in", str(src), "--out", str(dst),
+                         "--plan", str(other_field_plan_path))
+    assert code == 0
+    want = oracle.naive_dft(Field(OTHER_GENPOLY), vec)
+    assert dst.read_text() == "".join(f"0x{v:03x}\n" for v in want)
+
+
+def test_eval_rejects_length_other_than_plan(capsys, tmp_path, other_field_plan_path):
+    src = tmp_path / "in.hex"
+    src.write_text("0x000\n" * 23)  # fits the plan, so only --n is wrong
+    code, _, err = run_cli(capsys, "eval", "--n", "2047", "--in", str(src),
+                           "--out", str(tmp_path / "o.hex"),
+                           "--plan", str(other_field_plan_path))
+    assert code == 2
+    assert "--n 2047" in err and "length 23" in err
+    assert not (tmp_path / "o.hex").exists()
+
+
+def test_verify_rejects_length_other_than_plan(capsys, other_field_plan_path):
+    code, out, err = run_cli(capsys, "verify", "--n", "89", "--trials", "1",
+                             "--plan", str(other_field_plan_path))
+    assert code == 2
+    assert "--n 89" in err and "length 23" in err
+    assert "FAIL" not in out

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cfft2047 import (
     Slp,
@@ -9,12 +10,13 @@ from cfft2047 import (
     compile_plan,
     conv11_apply,
     conv11_matrices,
+    equivalent,
     evaluate,
     greedy_cse,
 )
 from cfft2047.slp import XOR, CMUL, _Builder
 
-from conftest import random_vector, unit_vector
+from conftest import random_vector
 
 
 def test_compile_counts_match_plan(plan23, prog23):
@@ -42,15 +44,6 @@ def test_run_zero_and_determinism(field, prog23):
 def test_run_arity_mismatch(field, prog23):
     with pytest.raises(ValueError):
         prog23.run(field, [0] * 22)
-    with pytest.raises(ValueError):
-        prog23.run_batch(field, [[0] * 22])
-
-
-def test_run_batch_matches_run(field, plan23, prog23):
-    rng = random.Random(2)
-    batch = [unit_vector(23, i) for i in range(23)]
-    batch += [random_vector(rng, 23) for _ in range(64)]
-    assert prog23.run_batch(field, batch) == [prog23.run(field, f) for f in batch]
 
 
 def test_compile_n1_is_passthrough(field):
@@ -63,11 +56,9 @@ def test_compile_2047_matches_evaluate(field, plan2047, prog2047):
     assert prog2047.xor_count == plan2047.add_count
     assert prog2047.cmul_count == plan2047.mult_count
     rng = random.Random(8)
-    batch = [random_vector(rng, 2047) for _ in range(5)]
-    want = [evaluate(plan2047, f) for f in batch]
-    assert prog2047.run_batch(field, batch) == want
-    # the scalar interpreter must agree with the packed one
-    assert prog2047.run(field, batch[0]) == want[0]
+    for _ in range(5):
+        f = random_vector(rng, 2047)
+        assert prog2047.run(field, f) == evaluate(plan2047, f)
 
 
 def test_cse_merges_duplicate_pair(field):
@@ -81,33 +72,29 @@ def test_cse_merges_duplicate_pair(field):
     assert prog.xor_count == 4
     opt = greedy_cse(prog)
     assert opt.xor_count == 3
+    assert equivalent(opt, prog)
     rng = random.Random(3)
     for _ in range(50):
         f = random_vector(rng, 4)
         assert opt.run(field, f) == prog.run(field, f)
 
 
-def test_cse_on_plan23(field, prog23):
+def test_cse_on_plan23(prog23):
     opt = greedy_cse(prog23)
     assert opt.xor_count < prog23.xor_count
     assert opt.cmul_count == prog23.cmul_count
-    rng = random.Random(4)
-    batch = [unit_vector(23, i) for i in range(23)]
-    batch += [random_vector(rng, 23) for _ in range(1000)]
-    assert opt.run_batch(field, batch) == prog23.run_batch(field, batch)
+    assert equivalent(opt, prog23)
     # fixed point: a second pass changes nothing
     again = greedy_cse(opt)
     assert again.xor_count == opt.xor_count
     assert again.cmul_count == opt.cmul_count
 
 
-def test_cse_budget_falls_back_to_dedup(field, prog23):
+def test_cse_budget_falls_back_to_dedup(prog23):
     opt = greedy_cse(prog23, budget=10)
     assert opt.xor_count <= prog23.xor_count
     assert opt.cmul_count == prog23.cmul_count
-    rng = random.Random(5)
-    batch = [random_vector(rng, 23) for _ in range(50)]
-    assert opt.run_batch(field, batch) == prog23.run_batch(field, batch)
+    assert equivalent(opt, prog23)
 
 
 def test_cse_keeps_dead_cmul():
@@ -168,3 +155,144 @@ def test_validate_rejects_bad_programs():
         Slp(2, bytes([CMUL]), [0], [1], [2]).validate()
     with pytest.raises(ValueError):
         Slp(2, bytes([XOR]), [0], [1], [9]).validate()
+
+
+# ---------------------------------------------------------------------------
+# Exact equivalence.
+# ---------------------------------------------------------------------------
+
+
+def _with(prog, kinds=None, op_a=None, op_b=None, outputs=None):
+    """A copy of prog with some of its instruction arrays replaced."""
+    return Slp(
+        prog.n_inputs,
+        prog.kinds if kinds is None else kinds,
+        prog.op_a if op_a is None else op_a,
+        prog.op_b if op_b is None else op_b,
+        prog.outputs if outputs is None else outputs,
+    ).validate()
+
+
+def _drop(prog, k):
+    """prog without xor instruction k; its users read its first operand."""
+    gone = prog.n_inputs + k
+
+    def fix(v):
+        if v == gone:
+            return prog.op_a[k]
+        return v - 1 if v > gone else v
+
+    keep = [i for i in range(prog.n_instructions) if i != k]
+    return _with(
+        prog,
+        kinds=bytes(prog.kinds[i] for i in keep),
+        op_a=[fix(prog.op_a[i]) for i in keep],
+        op_b=[fix(prog.op_b[i]) if prog.kinds[i] == XOR else prog.op_b[i] for i in keep],
+        outputs=[fix(o) for o in prog.outputs],
+    )
+
+
+def _mutants(prog):
+    xor = prog.kinds.index(XOR)
+    other = next(v for v in range(prog.n_inputs)
+                 if v not in (prog.op_a[xor], prog.op_b[xor]))
+    op_b = list(prog.op_b)
+    op_b[xor] = other
+    yield "xor operand", _with(prog, op_b=op_b)
+
+    cmul = prog.kinds.index(CMUL)
+    op_b = list(prog.op_b)
+    op_b[cmul] = op_b[cmul] + 1 if op_b[cmul] < 2047 else 2
+    yield "cmul constant", _with(prog, op_b=op_b)
+
+    outputs = list(prog.outputs)
+    outputs[0], outputs[1] = outputs[1], outputs[0]
+    yield "swapped outputs", _with(prog, outputs=outputs)
+
+    yield "dropped instruction", _drop(prog, xor)
+
+
+def test_equivalent_rejects_mutants(field, prog23):
+    assert equivalent(prog23, prog23)
+    rng = random.Random(9)
+    f = random_vector(rng, 23)
+    for name, mutant in _mutants(prog23):
+        assert mutant.run(field, f) != prog23.run(field, f), name  # a real fault
+        assert not equivalent(mutant, prog23), name
+        assert not equivalent(prog23, mutant), name
+
+
+def test_equivalent_accepts_reassociated_xor_chain():
+    left = _Builder(4)
+    t = left.xor_fold([0, 1, 2, 3])  # ((x0 ^ x1) ^ x2) ^ x3
+    right = _Builder(4)
+    u = right._emit(XOR, 2, 3)
+    u = right._emit(XOR, 1, u)
+    u = right._emit(XOR, 0, u)  # x0 ^ (x1 ^ (x2 ^ x3))
+    a = left.finish([t, left.cmul(5, t)])
+    b = right.finish([u, right.cmul(5, u)])
+    assert equivalent(a, b)
+    assert not equivalent(a, right.finish([u, u]))
+
+
+def test_equivalent_is_not_complete(field):
+    # 5 * (x0 ^ x1) and 5*x0 ^ 5*x1 are equal maps but different atoms
+    a = _Builder(2)
+    a_out = a.cmul(5, a._emit(XOR, 0, 1))
+    b = _Builder(2)
+    b_out = b._emit(XOR, b.cmul(5, 0), b.cmul(5, 1))
+    pa, pb = a.finish([a_out]), b.finish([b_out])
+    assert pa.run(field, [3, 9]) == pb.run(field, [3, 9])
+    assert not equivalent(pa, pb)
+
+
+def test_equivalent_needs_matching_shapes(prog23):
+    assert not equivalent(prog23, _with(prog23, outputs=prog23.outputs[:-1]))
+    assert not equivalent(_Builder(2).finish([0]), _Builder(3).finish([0]))
+
+
+N_IN = 3
+CONSTANTS = st.sampled_from((2, 3, 0x1A9))
+
+
+@st.composite
+def small_programs(draw):
+    kinds, op_a, op_b = [], [], []
+    for i in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from((XOR, XOR, CMUL)))
+        kinds.append(kind)
+        op_a.append(draw(st.integers(0, N_IN + i - 1)))
+        op_b.append(draw(st.integers(0, N_IN + i - 1) if kind == XOR else CONSTANTS))
+    ids = st.integers(0, N_IN + len(kinds) - 1)
+    outputs = draw(st.lists(ids, min_size=2, max_size=2))
+    return Slp(N_IN, kinds, op_a, op_b, outputs).validate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=small_programs(),
+    b=small_programs(),
+    how=st.sampled_from(("independent", "cse", "edit")),
+    data=st.data(),
+    vectors=st.lists(st.lists(st.integers(0, 2047), min_size=N_IN, max_size=N_IN),
+                     min_size=1, max_size=4),
+)
+def test_equivalent_is_sound(field, a, b, how, data, vectors):
+    if how == "cse":
+        b = greedy_cse(a)
+        assert equivalent(a, b)
+    elif how == "edit" and a.n_instructions:
+        # one operand or constant of a changed: usually a different map
+        i = data.draw(st.integers(0, a.n_instructions - 1))
+        op_b = list(a.op_b)
+        op_b[i] = data.draw(st.integers(0, N_IN + i - 1) if a.kinds[i] == XOR
+                            else CONSTANTS)
+        b = _with(a, op_b=op_b)
+    if equivalent(a, b):
+        for f in vectors:
+            assert a.run(field, f) == b.run(field, f)
+    if a.cmul_count == b.cmul_count == 0:
+        # xor-only programs are equal exactly when they agree on unit vectors
+        units = [[int(i == j) for j in range(N_IN)] for i in range(N_IN)]
+        agree = all(a.run(field, u) == b.run(field, u) for u in units)
+        assert equivalent(a, b) == agree
