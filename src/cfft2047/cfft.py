@@ -249,6 +249,9 @@ def _eval_cache(plan: CfftPlan):
     return plan._eval_cache
 
 
+_BOOLS = frozenset((bool, np.bool_))
+
+
 def evaluate(plan: CfftPlan, f):
     """Run the plan; bit-exact equal to the naive DFT of f."""
     if len(f) != plan.n:
@@ -259,6 +262,9 @@ def evaluate(plan: CfftPlan, f):
     vec = np.asarray(f)
     if vec.ndim != 1 or vec.dtype.kind not in "iu":
         raise ValueError("elements must be integers")
+    # np.asarray turns a bool mixed into ints into an int, so look at the types
+    if isinstance(f, (list, tuple)) and not _BOOLS.isdisjoint(map(type, f)):
+        raise ValueError("elements must be integers, not booleans")
     if vec.min() < 0 or vec.max() > field.n:
         raise ValueError("element out of range 0..2047")
     fp = vec.astype(np.int16)[perm]

@@ -22,8 +22,10 @@ multi-million instruction n = 2047 program are checked.
 
 from __future__ import annotations
 
-import heapq
 from array import array
+from itertools import chain
+
+import numpy as np
 
 from . import bilinear, cfft
 
@@ -125,8 +127,13 @@ class Slp:
             lhs, rhs = [part.strip() for part in ln.split("=", 1)]
             fields = rhs.split()
             if lhs.startswith("out"):
-                outputs[int(lhs[3:])] = int(fields[0][1:])
+                k = int(lhs[3:])
+                if not 0 <= k < n_out or len(fields) != 1:
+                    raise ValueError(f"bad output binding {ln!r}")
+                outputs[k] = int(fields[0][1:])
                 continue
+            if len(fields) != 3:
+                raise ValueError(f"malformed instruction {ln!r}")
             if int(lhs[1:]) != next_id:
                 raise ValueError(f"non-sequential instruction id {lhs}")
             if fields[0] == "xor":
@@ -271,62 +278,75 @@ def _dedup_xors(slp: Slp) -> Slp:
     return Slp(n_in, kinds, op_a, op_b, [remap[o] for o in slp.outputs])
 
 
-def _flatten_expressions(slp: Slp, budget: int):
-    """Flatten every top-level xor tree into a parity set of atoms.
+def _xor_roots(slp: Slp) -> dict:
+    """Top-level xor ids -> the tags of what they feed, in flattening order.
 
-    Atoms are inputs and cmul results. Returns (exprs, consumers) or None
-    if the expansion work exceeds the budget. consumers[k] is a list of
-    ('cmul', instr_index) / ('out', output_index) tags fed by exprs[k].
+    A root is an xor id read by a cmul or bound to an output; its tags are
+    ('cmul', instr_index) / ('out', output_index). Cmul operands come
+    first, in instruction order, then outputs.
+    """
+    n_in, kinds, op_a = slp.n_inputs, slp.kinds, slp.op_a
+    cmuls = np.flatnonzero(np.frombuffer(kinds, np.uint8) == CMUL).tolist()
+    fed = [("cmul", i, op_a[i]) for i in cmuls]
+    fed += [("out", k, o) for k, o in enumerate(slp.outputs)]
+    roots: dict = {}
+    for tag, k, v in fed:
+        if v >= n_in and kinds[v - n_in] == XOR:
+            roots.setdefault(v, []).append((tag, k))
+    return roots
+
+
+def _expansion_work(slp: Slp, roots, budget: int) -> int:
+    """Nodes the flattening of roots pops, counted until the sum passes budget.
+
+    An atom pops once and an xor id once plus its operands' pops. Each root
+    adds the xor ids it reaches that no earlier root reached, in id order
+    (operands precede their users); roots past the one that crosses the
+    budget are never looked at.
+    """
+    n_in, kinds, op_a, op_b = slp.n_inputs, slp.kinds, slp.op_a, slp.op_b
+    pops: dict = {}
+    work = 0
+    for root in roots:
+        found, stack = [], [root]
+        while stack:
+            v = stack.pop()
+            if v < n_in or v in pops or kinds[v - n_in] != XOR:
+                continue
+            pops[v] = 0
+            found.append(v)
+            stack.append(op_a[v - n_in])
+            stack.append(op_b[v - n_in])
+        for v in sorted(found):
+            pops[v] = 1 + pops.get(op_a[v - n_in], 1) + pops.get(op_b[v - n_in], 1)
+        work += pops[root]
+        if work > budget:
+            break
+    return work
+
+
+def _flatten_expressions(slp: Slp, roots) -> list:
+    """Flatten each root's xor tree into a parity set of atoms.
+
+    Atoms are inputs and cmul results; exprs[k] is the set of the k-th root.
     """
     n_in = slp.n_inputs
     kinds, op_a, op_b = slp.kinds, slp.op_a, slp.op_b
-
-    def is_xor_id(v):
-        return v >= n_in and kinds[v - n_in] == XOR
-
-    exprs: list = []
-    consumers: list = []
-    expr_of_root: dict = {}
-    work = 0
-
-    def expr_index(root):
-        nonlocal work
-        idx = expr_of_root.get(root)
-        if idx is not None:
-            return idx
+    exprs = []
+    for root in roots:
         atoms: set = set()
         stack = [root]
         while stack:
             v = stack.pop()
-            work += 1
-            if work > budget:
-                return None
-            if is_xor_id(v):
+            if v >= n_in and kinds[v - n_in] == XOR:
                 stack.append(op_a[v - n_in])
                 stack.append(op_b[v - n_in])
             elif v in atoms:  # parity: an atom seen twice cancels
                 atoms.discard(v)
             else:
                 atoms.add(v)
-        idx = len(exprs)
         exprs.append(atoms)
-        consumers.append([])
-        expr_of_root[root] = idx
-        return idx
-
-    for i in range(len(kinds)):
-        if kinds[i] == CMUL and is_xor_id(op_a[i]):
-            idx = expr_index(op_a[i])
-            if idx is None:
-                return None
-            consumers[idx].append(("cmul", i))
-    for k, o in enumerate(slp.outputs):
-        if is_xor_id(o):
-            idx = expr_index(o)
-            if idx is None:
-                return None
-            consumers[idx].append(("out", k))
-    return exprs, consumers
+    return exprs
 
 
 def _greedy_pairs(exprs, first_ext_id, budget):
@@ -335,83 +355,78 @@ def _greedy_pairs(exprs, first_ext_id, budget):
     Ties break toward the lexicographically smallest pair. Mutates exprs in
     place; returns the extraction list [(new_id, a, b), ...] or None if the
     initial pair enumeration exceeds the budget.
+
+    The state is an incidence matrix M (expression x atom, atoms in id
+    order, one new column per extraction) and the pair counts C = M^T M
+    with a zero diagonal. Row r caches its best pair (C[r, j], the smallest
+    such j > r), so the pick is the first maximum over rows. Extracting
+    (a, b) as w only lowers counts in columns a and b and fills column w,
+    the largest, so a cache goes stale only when its partner was a or b.
     """
-    pair_freq: dict = {}
-    col: dict = {}
-    heap: list = []
-    work = 0
-    for idx, s in enumerate(exprs):
-        members = sorted(s)
-        for a in members:
-            col[a] = col.get(a, 0) | (1 << idx)
-        work += len(members) * (len(members) - 1) // 2
-        if work > budget:
-            return None
-        for i, a in enumerate(members):
-            for b in members[i + 1 :]:
-                pair_freq[(a, b)] = pair_freq.get((a, b), 0) + 1
-    for (a, b), f in pair_freq.items():
-        if f >= 2:
-            heapq.heappush(heap, (-f, a, b))
+    if sum(len(s) * (len(s) - 1) // 2 for s in exprs) > budget:
+        return None
+    atom_ids = sorted(set().union(*exprs))
+    if not atom_ids:
+        return []
+    n_atoms, cap = len(atom_ids), 2 * len(atom_ids) + 2
+    m = np.zeros((len(exprs), cap), bool)
+    lens = [len(s) for s in exprs]
+    members = np.fromiter(chain.from_iterable(exprs), np.int64, sum(lens))
+    m[np.repeat(np.arange(len(exprs)), lens), np.searchsorted(atom_ids, members)] = True
+    mf = m[:, :n_atoms].astype(np.float64)
+    c = np.zeros((cap, cap), np.int32)
+    c[:n_atoms, :n_atoms] = mf.T @ mf
+    np.fill_diagonal(c, 0)
+    best = np.zeros(cap, np.int32)
+    partner = np.zeros(cap, np.intp)
+    ncol = n_atoms
 
-    touched = set()
+    def rescan(rows):
+        sub = c[rows, :ncol]
+        sub[np.arange(ncol) <= rows[:, None]] = 0
+        partner[rows] = j = sub.argmax(1)
+        best[rows] = sub[np.arange(len(rows)), j]
 
-    def bump(a, b, delta):
-        if a > b:
-            a, b = b, a
-        f = pair_freq.get((a, b), 0) + delta
-        if f:
-            pair_freq[(a, b)] = f
-        else:
-            pair_freq.pop((a, b), None)
-        if delta > 0:
-            touched.add((a, b))
-
-    # Invariant: every pair holds a heap entry at or above its current count
-    # (increments are flushed once per extraction at their final value, and
-    # decrements leave the older, higher entries in place). The first
-    # non-stale pop is therefore the global maximum; stale entries are
-    # re-synced at pop time rather than pushed on every decrement.
+    rescan(np.arange(n_atoms))
     extractions = []
-    next_id = first_ext_id
-    while heap:
-        negf, a, b = heapq.heappop(heap)
-        cur = pair_freq.get((a, b), 0)
-        if cur != -negf:
-            if cur >= 2:
-                heapq.heappush(heap, (-cur, a, b))
-            continue
-        if cur < 2:
+    while True:
+        a = int(best[:ncol].argmax())
+        if best[a] < 2:
             break
-        w = next_id
-        next_id += 1
+        b = int(partner[a])
+        if ncol == cap:
+            cap *= 2
+            m = np.pad(m, ((0, 0), (0, cap - ncol)))
+            c = np.pad(c, (0, cap - ncol))
+            best = np.pad(best, (0, cap - ncol))
+            partner = np.pad(partner, (0, cap - ncol))
+        w = ncol
+        ncol += 1
         extractions.append((w, a, b))
-        hit = col[a] & col[b]
-        pair_freq.pop((a, b), None)
-        col_w = col.get(w, 0)
-        m = hit
-        while m:
-            low = m & -m
-            idx = low.bit_length() - 1
-            m ^= low
-            s = exprs[idx]
-            s.discard(a)
-            s.discard(b)
-            for t in s:
-                bump(a, t, -1)
-                bump(b, t, -1)
-                bump(w, t, +1)
-            s.add(w)
-            col_w |= low
-        col[a] &= ~hit
-        col[b] &= ~hit
-        col[w] = col_w
-        for p in touched:
-            f = pair_freq.get(p, 0)
-            if f >= 2:
-                heapq.heappush(heap, (-f, p[0], p[1]))
-        touched.clear()
-    return extractions
+        hit = np.flatnonzero(m[:, a] & m[:, b])
+        d = m[hit, :ncol].sum(0, dtype=np.int32)
+        d[a] = d[b] = 0
+        for v in (a, b):
+            c[v, :ncol] -= d
+            c[:ncol, v] -= d
+        c[a, b] = c[b, a] = 0
+        c[w, :ncol] = d
+        c[:ncol, w] = d
+        m[hit, a] = m[hit, b] = False
+        m[hit, w] = True
+        fed = np.flatnonzero(d)
+        stale = (partner[fed] == a) | (partner[fed] == b)
+        up = fed[~stale & (d[fed] > best[fed])]
+        best[up] = d[up]
+        partner[up] = w
+        rescan(np.append(fed[stale], (a, b)))  # row w has no j > w
+
+    ids = np.concatenate((atom_ids, first_ext_id + np.arange(ncol - n_atoms)))
+    for s, row in zip(exprs, m[:, :ncol]):
+        s.clear()
+        s.update(ids[row].tolist())
+    ids = ids.tolist()
+    return [(ids[w], ids[a], ids[b]) for w, a, b in extractions]
 
 
 def _emit_optimized(slp: Slp, exprs, consumers, extractions) -> Slp:
@@ -496,19 +511,21 @@ def _emit_optimized(slp: Slp, exprs, consumers, extractions) -> Slp:
 def greedy_cse(slp: Slp, budget: int = 5_000_000) -> Slp:
     """Reduce the xor count while preserving semantics and the cmul count.
 
-    Two passes: value numbering over the binary xor stream, then (when the
-    flattened pair enumeration fits the work budget) greedy extraction of
-    the most frequent operand pair across all flattened xor expressions,
-    run to its fixpoint. The budget keeps the quadratic pair enumeration
-    away from the n = 2047 program, where the first pass alone already
-    shrinks the program; on the lengths where it runs, the greedy pass is
+    Two passes: value numbering over the binary xor stream, then (when both
+    the flattening and the pair enumeration fit the work budget) greedy
+    extraction of the most frequent operand pair across all flattened xor
+    expressions, run to its fixpoint. The budget keeps both away from the
+    n = 2047 program, where the first pass alone already shrinks the
+    program; its flattening is counted, not run, until the count passes
+    the budget. On the lengths where it runs, the greedy pass is
     deterministic and idempotent.
     """
     deduped = _dedup_xors(slp)
-    flat = _flatten_expressions(deduped, budget)
-    if flat is None:
+    roots = _xor_roots(deduped)
+    if _expansion_work(deduped, roots, budget) > budget:
         return deduped
-    exprs, consumers = flat
+    exprs = _flatten_expressions(deduped, roots)
+    consumers = list(roots.values())
     if any(not s for s in exprs):
         return deduped  # a top-level sum cancels to zero; keep the safe form
     n_ids = deduped.n_inputs + deduped.n_instructions

@@ -153,10 +153,11 @@ def test_evaluate_errors(plan23):
         evaluate(plan23, [0] * 22 + [4096])
 
 
-@pytest.mark.parametrize("bad", [5.7, 5.0, "5", None])
+@pytest.mark.parametrize("bad", [5.7, 5.0, "5", None, True, np.True_])
 def test_evaluate_rejects_non_integer_elements(plan23, bad):
-    with pytest.raises(ValueError):
-        evaluate(plan23, [0] * 22 + [bad])
+    for f in ([0] * 22 + [bad], (0,) * 22 + (bad,)):
+        with pytest.raises(ValueError):
+            evaluate(plan23, f)
 
 
 def test_evaluate_accepts_integer_arrays(field, plan23):

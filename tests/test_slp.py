@@ -1,7 +1,11 @@
+import hashlib
 import random
+from collections import Counter
+from functools import cache
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cfft2047 import (
     Slp,
@@ -13,8 +17,9 @@ from cfft2047 import (
     equivalent,
     evaluate,
     greedy_cse,
+    t5_matrices,
 )
-from cfft2047.slp import XOR, CMUL, _Builder
+from cfft2047.slp import XOR, CMUL, _Builder, _dedup_xors, _greedy_pairs
 
 from conftest import random_vector
 
@@ -97,6 +102,119 @@ def test_cse_budget_falls_back_to_dedup(prog23):
     assert equivalent(opt, prog23)
 
 
+def _bilinear_program(field, matrices):
+    alg = matrices()
+    return compile_bilinear(field, alg, list(range(3, 3 + alg.r.cols)))
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("t5", "8ac3f9255dd50521"),
+    ("conv11", "c4cf4fd2b6eb8f01"),
+    ("plan1", "279422952316624b"),
+    ("plan23", "04faee62616f841a"),
+    ("plan89", "eb365bd3a8d71491"),
+])
+def test_cse_output_is_pinned(field, plan23, plan89, name, digest):
+    prog = {
+        "t5": lambda: _bilinear_program(field, t5_matrices),
+        "conv11": lambda: _bilinear_program(field, conv11_matrices),
+        "plan1": lambda: compile_plan(build_plan(field, 1)),
+        "plan23": lambda: compile_plan(plan23),
+        "plan89": lambda: compile_plan(plan89),
+    }[name]()
+    text = greedy_cse(prog).to_text()
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def _gate_work(prog):
+    """What greedy_cse weighs against its budget, computed by recursion.
+
+    Returns (pops, pairs): the node count of every distinct top-level xor
+    tree expanded in full, and the atom pairs of their parity sets.
+    """
+    n_in = prog.n_inputs
+
+    def is_xor(v):
+        return v >= n_in and prog.kinds[v - n_in] == XOR
+
+    @cache
+    def pops(v):
+        i = v - n_in
+        return 1 + pops(prog.op_a[i]) + pops(prog.op_b[i]) if is_xor(v) else 1
+
+    @cache
+    def atoms(v):
+        i = v - n_in
+        return atoms(prog.op_a[i]) ^ atoms(prog.op_b[i]) if is_xor(v) else frozenset([v])
+
+    fed = [prog.op_a[i] for i in range(prog.n_instructions) if prog.kinds[i] == CMUL]
+    roots = [v for v in dict.fromkeys(fed + list(prog.outputs)) if is_xor(v)]
+    return (sum(map(pops, roots)),
+            sum(len(atoms(v)) * (len(atoms(v)) - 1) // 2 for v in roots))
+
+
+def _cancelling_chain():
+    """x0^x1^x2 folded from 23 terms that mostly cancel, and x0^x1^x3:
+    deep xor trees over small parity sets."""
+    b = _Builder(4)
+    return b.finish([b.xor_fold([0, 1] * 10 + [0, 1, 2]), b.xor_fold([0, 1, 3])])
+
+
+@pytest.mark.parametrize("name", ["conv11", "cancelling chain"])
+def test_cse_budget_edge(field, name):
+    if name == "conv11":
+        prog = _bilinear_program(field, conv11_matrices)
+    else:
+        prog = _cancelling_chain()
+    deduped = _dedup_xors(prog)
+    full = greedy_cse(prog)
+    assert full.xor_count < deduped.xor_count
+    pops, pairs = _gate_work(deduped)
+    # conv11 is gated by its pair count, the chain by its expansion count
+    assert (pops > pairs) == (name == "cancelling chain")
+    work = max(pops, pairs)
+    assert greedy_cse(prog, work).to_text() == full.to_text()
+    assert greedy_cse(prog, work - 1).to_text() == deduped.to_text()
+
+
+def _reference_pairs(exprs, first_ext_id):
+    """Greedy extraction that recounts every pair at each step."""
+    exprs = [set(s) for s in exprs]
+    extractions = []
+    while True:
+        counts = Counter(p for s in exprs for p in combinations(sorted(s), 2))
+        top = max(counts.values(), default=0)
+        if top < 2:
+            return extractions, exprs
+        a, b = min(p for p, k in counts.items() if k == top)
+        w = first_ext_id + len(extractions)
+        for s in exprs:
+            if a in s and b in s:
+                s -= {a, b}
+                s.add(w)
+        extractions.append((w, a, b))
+
+
+# ten extractions from five atoms: the matrices outgrow their first size
+PAIRS_TWICE = [set(p) for p in combinations(range(5), 2)] * 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    exprs=st.lists(st.sets(st.integers(0, 60), max_size=10), max_size=14)
+    | st.lists(st.sets(st.sampled_from((3, 9, 10, 17, 40)), min_size=1), max_size=14)
+    | st.lists(st.sets(st.integers(0, 5), min_size=2, max_size=3), max_size=30),
+    gap=st.integers(0, 5),
+)
+@example(exprs=PAIRS_TWICE, gap=0)
+def test_greedy_pairs_matches_reference(exprs, gap):
+    first_ext_id = 61 + gap
+    want, want_exprs = _reference_pairs(exprs, first_ext_id)
+    got_exprs = [set(s) for s in exprs]
+    assert _greedy_pairs(got_exprs, first_ext_id, 10**9) == want
+    assert got_exprs == want_exprs
+
+
 def test_cse_keeps_dead_cmul():
     b = _Builder(2)
     t = b._emit(XOR, 0, 1)
@@ -146,6 +264,10 @@ def test_from_text_rejects_garbage():
         Slp.from_text("slp 2 1\nt2 = cmul 0x001 t0\nout0 = t2\n")  # trivial const
     with pytest.raises(ValueError):
         Slp.from_text("slp 2 1\nt2 = xor t0 t3\nout0 = t2\n")  # forward ref
+    with pytest.raises(ValueError):
+        Slp.from_text("slp 2 1\nout3 = t0\n")  # output index past the header's
+    with pytest.raises(ValueError):
+        Slp.from_text("slp 2 1\nt2 = xor t0\nout0 = t2\n")  # one operand
 
 
 def test_validate_rejects_bad_programs():
