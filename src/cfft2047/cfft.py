@@ -78,9 +78,20 @@ class NormalBasis:
     from_poly: BitMatrix
 
 
+_NORMAL_BASES: dict = {}
+
+
 def find_normal_basis(field: Field) -> NormalBasis:
     """Deterministic choice: gamma = alpha^t for the smallest t >= 1 whose
-    conjugates are linearly independent over GF(2)."""
+    conjugates are linearly independent over GF(2). The search runs once
+    per generator polynomial; later calls return the same basis."""
+    basis = _NORMAL_BASES.get(field.genpoly)
+    if basis is None:
+        basis = _NORMAL_BASES[field.genpoly] = _search_normal_basis(field)
+    return basis
+
+
+def _search_normal_basis(field: Field) -> NormalBasis:
     for t in range(1, field.n):
         gamma = field.pow(field.alpha, t)
         conj = [gamma]

@@ -18,6 +18,11 @@ programs without running them: each output becomes a parity set over atoms
 (the inputs and the cmul results), and equal sets prove that the programs
 agree on every input. That is how the rewrites `greedy_cse` makes to the
 multi-million instruction n = 2047 program are checked.
+
+`greedy_cse` cuts a program at its xor roots, the xor values that a cmul
+reads, that are bound to an output or that two or more instructions read,
+and shares atom pairs among the roots' parity sets. On a compiled plan the
+sets are the rows of the P, Q and A stage matrices.
 """
 
 from __future__ import annotations
@@ -127,22 +132,22 @@ class Slp:
             lhs, rhs = [part.strip() for part in ln.split("=", 1)]
             fields = rhs.split()
             if lhs.startswith("out"):
-                k = int(lhs[3:])
-                if not 0 <= k < n_out or len(fields) != 1:
+                k = _parse_id("out", lhs)
+                if not 0 <= k < n_out or len(fields) != 1 or outputs[k] is not None:
                     raise ValueError(f"bad output binding {ln!r}")
-                outputs[k] = int(fields[0][1:])
+                outputs[k] = _parse_id("t", fields[0])
                 continue
             if len(fields) != 3:
                 raise ValueError(f"malformed instruction {ln!r}")
-            if int(lhs[1:]) != next_id:
+            if _parse_id("t", lhs) != next_id:
                 raise ValueError(f"non-sequential instruction id {lhs}")
             if fields[0] == "xor":
                 kinds.append(XOR)
-                op_a.append(int(fields[1][1:]))
-                op_b.append(int(fields[2][1:]))
+                op_a.append(_parse_id("t", fields[1]))
+                op_b.append(_parse_id("t", fields[2]))
             elif fields[0] == "cmul":
                 kinds.append(CMUL)
-                op_a.append(int(fields[2][1:]))
+                op_a.append(_parse_id("t", fields[2]))
                 op_b.append(int(fields[1], 16))
             else:
                 raise ValueError(f"unknown instruction {fields[0]!r}")
@@ -156,6 +161,14 @@ class Slp:
             f"Slp(inputs={self.n_inputs}, outputs={len(self.outputs)}, "
             f"xor={self.xor_count}, cmul={self.cmul_count})"
         )
+
+
+def _parse_id(prefix: str, token: str) -> int:
+    """The number in a `t<digits>` or `out<digits>` token."""
+    digits = token[len(prefix):]
+    if not token.startswith(prefix) or not digits.isascii() or not digits.isdigit():
+        raise ValueError(f"expected {prefix}<digits>, got {token!r}")
+    return int(digits)
 
 
 class _Builder:
@@ -278,67 +291,35 @@ def _dedup_xors(slp: Slp) -> Slp:
     return Slp(n_in, kinds, op_a, op_b, [remap[o] for o in slp.outputs])
 
 
-def _xor_roots(slp: Slp) -> dict:
-    """Top-level xor ids -> the tags of what they feed, in flattening order.
+def _stage_sets(slp: Slp, budget: int):
+    """The program's xor roots and their parity sets, or None over budget.
 
-    A root is an xor id read by a cmul or bound to an output; its tags are
-    ('cmul', instr_index) / ('out', output_index). Cmul operands come
-    first, in instruction order, then outputs.
-    """
-    n_in, kinds, op_a = slp.n_inputs, slp.kinds, slp.op_a
-    cmuls = np.flatnonzero(np.frombuffer(kinds, np.uint8) == CMUL).tolist()
-    fed = [("cmul", i, op_a[i]) for i in cmuls]
-    fed += [("out", k, o) for k, o in enumerate(slp.outputs)]
-    roots: dict = {}
-    for tag, k, v in fed:
-        if v >= n_in and kinds[v - n_in] == XOR:
-            roots.setdefault(v, []).append((tag, k))
-    return roots
-
-
-def _expansion_work(slp: Slp, roots, budget: int) -> int:
-    """Nodes the flattening of roots pops, counted until the sum passes budget.
-
-    An atom pops once and an xor id once plus its operands' pops. Each root
-    adds the xor ids it reaches that no earlier root reached, in id order
-    (operands precede their users); roots past the one that crosses the
-    budget are never looked at.
+    A root is an xor value that a cmul reads, that is bound to an output,
+    or that two or more instructions read. Each root is flattened only
+    through the single-use xors below it, so every instruction is visited
+    once and a set's atoms are inputs, cmul results and other roots: on a
+    compiled plan, the rows of P, Q and A. Roots are taken in id order and
+    their pairs, C(|set|, 2) each, counted until the sum passes budget.
     """
     n_in, kinds, op_a, op_b = slp.n_inputs, slp.kinds, slp.op_a, slp.op_b
-    pops: dict = {}
-    work = 0
-    for root in roots:
-        found, stack = [], [root]
-        while stack:
-            v = stack.pop()
-            if v < n_in or v in pops or kinds[v - n_in] != XOR:
-                continue
-            pops[v] = 0
-            found.append(v)
-            stack.append(op_a[v - n_in])
-            stack.append(op_b[v - n_in])
-        for v in sorted(found):
-            pops[v] = 1 + pops.get(op_a[v - n_in], 1) + pops.get(op_b[v - n_in], 1)
-        work += pops[root]
-        if work > budget:
-            break
-    return work
+    total = n_in + len(kinds)
+    xors = np.frombuffer(kinds, np.uint8) == XOR
+    a, b = np.frombuffer(op_a, np.dtype("l")), np.frombuffer(op_b, np.dtype("l"))
+    reads = np.bincount(a, minlength=total) + np.bincount(b[xors], minlength=total)
+    kept = reads >= 2  # the values flattening stops at, if they are xors
+    kept[a[~xors]] = True
+    kept[list(slp.outputs)] = True
+    is_xor = np.concatenate((np.zeros(n_in, bool), xors))
+    roots = np.flatnonzero(is_xor & kept).tolist()
+    flat = (is_xor & ~kept).tolist()
 
-
-def _flatten_expressions(slp: Slp, roots) -> list:
-    """Flatten each root's xor tree into a parity set of atoms.
-
-    Atoms are inputs and cmul results; exprs[k] is the set of the k-th root.
-    """
-    n_in = slp.n_inputs
-    kinds, op_a, op_b = slp.kinds, slp.op_a, slp.op_b
-    exprs = []
+    exprs, pairs = [], 0
     for root in roots:
         atoms: set = set()
-        stack = [root]
+        stack = [op_a[root - n_in], op_b[root - n_in]]
         while stack:
             v = stack.pop()
-            if v >= n_in and kinds[v - n_in] == XOR:
+            if flat[v]:
                 stack.append(op_a[v - n_in])
                 stack.append(op_b[v - n_in])
             elif v in atoms:  # parity: an atom seen twice cancels
@@ -346,7 +327,10 @@ def _flatten_expressions(slp: Slp, roots) -> list:
             else:
                 atoms.add(v)
         exprs.append(atoms)
-    return exprs
+        pairs += len(atoms) * (len(atoms) - 1) // 2
+        if pairs > budget:
+            return None
+    return roots, exprs
 
 
 def _greedy_pairs(exprs, first_ext_id, budget):
@@ -429,110 +413,60 @@ def _greedy_pairs(exprs, first_ext_id, budget):
     return [(ids[w], ids[a], ids[b]) for w, a, b in extractions]
 
 
-def _emit_optimized(slp: Slp, exprs, consumers, extractions) -> Slp:
-    """Rebuild a program from rewritten expressions and extractions."""
-    n_in = slp.n_inputs
-    kinds, op_a, op_b = slp.kinds, slp.op_a, slp.op_b
+def _emit_optimized(slp: Slp, roots, exprs, extractions) -> Slp:
+    """Rebuild a program from rewritten root sets and extractions.
 
-    ext_of = {w: (a, b) for w, a, b in extractions}
-    expr_for_cmul = {}
-    expr_for_out = {}
-    for idx, tags in enumerate(consumers):
-        for tag, k in tags:
-            if tag == "cmul":
-                expr_for_cmul[k] = idx
-            else:
-                expr_for_out[k] = idx
-
+    Instructions are re-emitted in order, cmuls as they are and each root
+    as the xor of its set; non-root xors are gone. An extraction follows
+    the last atom it depends on.
+    """
+    n_in, kinds, op_a, op_b = slp.n_inputs, slp.kinds, slp.op_a, slp.op_b
+    total = n_in + len(kinds)
+    level = list(range(total))
+    due: dict = {}
+    for w, a, b in extractions:
+        level.append(max(level[a], level[b]))
+        due.setdefault(level[w], []).append((w, a, b))
+    set_of = dict(zip(roots, exprs))
     builder = _Builder(n_in)
-    emitted: dict = {}
-
-    def deps_of(node):
-        if isinstance(node, tuple):  # ('expr', idx)
-            return sorted(exprs[node[1]])
-        if node < n_in:
-            return []
-        if node in ext_of:
-            return list(ext_of[node])
-        i = node - n_in  # a cmul instruction
-        src = op_a[i]
-        if src >= n_in and kinds[src - n_in] == XOR:
-            return [("expr", expr_for_cmul[i])]
-        return [src]
-
-    def emit(node):
-        stack = [node]
-        while stack:
-            nd = stack[-1]
-            if nd in emitted:
-                stack.pop()
-                continue
-            pending = [d for d in deps_of(nd) if d not in emitted]
-            if pending:
-                stack.extend(pending)
-                continue
-            if isinstance(nd, tuple):
-                ids = [emitted[t] for t in sorted(exprs[nd[1]])]
-                if not ids:
-                    raise ValueError("expression vanished; cannot emit zero")
-                new_id = builder.xor_fold(ids)
-            elif nd < n_in:
-                new_id = nd
-            elif nd in ext_of:
-                a, b = ext_of[nd]
-                new_id = builder._emit(XOR, emitted[a], emitted[b])
-            else:
-                i = nd - n_in
-                src = op_a[i]
-                if src >= n_in and kinds[src - n_in] == XOR:
-                    operand = emitted[("expr", expr_for_cmul[i])]
-                else:
-                    operand = emitted[src]
-                # emit directly rather than via cmul(): re-emission must never
-                # fold an instruction away, or the cmul count would change
-                new_id = builder._emit(CMUL, operand, op_b[i])
-            emitted[nd] = new_id
-            stack.pop()
-        return emitted[node]
-
-    outputs = []
-    for k, o in enumerate(slp.outputs):
-        if k in expr_for_out:
-            outputs.append(emit(("expr", expr_for_out[k])))
-        else:
-            outputs.append(emit(o))
-    # dead cmul instructions are still emitted so the cmul count is invariant
-    for i in range(len(kinds)):
-        if kinds[i] == CMUL and (n_in + i) not in emitted:
-            emit(n_in + i)
-    return builder.finish(outputs)
+    new = list(range(n_in)) + [None] * (len(kinds) + len(extractions))
+    for v in range(total):
+        i = v - n_in
+        if i >= 0 and kinds[i] == CMUL:
+            # emitted directly, never folded, so the cmul count is invariant
+            new[v] = builder._emit(CMUL, new[op_a[i]], op_b[i])
+        elif v in set_of:
+            new[v] = builder.xor_fold(new[t] for t in sorted(set_of[v]))
+        elif i >= 0:
+            continue  # an xor flattened into a root
+        for w, a, b in due.get(v, ()):
+            new[w] = builder._emit(XOR, new[a], new[b])
+    return builder.finish([new[o] for o in slp.outputs])
 
 
 def greedy_cse(slp: Slp, budget: int = 5_000_000) -> Slp:
     """Reduce the xor count while preserving semantics and the cmul count.
 
-    Two passes: value numbering over the binary xor stream, then (when both
-    the flattening and the pair enumeration fit the work budget) greedy
-    extraction of the most frequent operand pair across all flattened xor
-    expressions, run to its fixpoint. The budget keeps both away from the
-    n = 2047 program, where the first pass alone already shrinks the
-    program; its flattening is counted, not run, until the count passes
-    the budget. On the lengths where it runs, the greedy pass is
-    deterministic and idempotent.
+    The program is cut at its xor roots: the values a cmul reads, that are
+    bound to an output or that two or more instructions read. Each root
+    becomes a parity set over inputs, cmul results and other roots, found
+    through the single-use xors below it; on a compiled plan those are the
+    rows of the P, Q and A stages, not their products. Greedy extraction
+    of the most frequent atom pair then runs on the sets to its fixpoint
+    (Paar's method), and the program is re-emitted from them. The budget
+    bounds the pair enumeration, sum C(|set|, 2); past it (n = 2047), or
+    when a root cancels to zero, value numbering over the xor stream is
+    the result. That program is also the floor: a greedy result with no
+    fewer xors is dropped. On the lengths where it runs, the greedy pass
+    is deterministic.
     """
+    cut = _stage_sets(slp, budget)
     deduped = _dedup_xors(slp)
-    roots = _xor_roots(deduped)
-    if _expansion_work(deduped, roots, budget) > budget:
+    if cut is None or not all(cut[1]):
         return deduped
-    exprs = _flatten_expressions(deduped, roots)
-    consumers = list(roots.values())
-    if any(not s for s in exprs):
-        return deduped  # a top-level sum cancels to zero; keep the safe form
-    n_ids = deduped.n_inputs + deduped.n_instructions
-    extractions = _greedy_pairs(exprs, n_ids, budget)
-    if extractions is None:
-        return deduped
-    optimized = _emit_optimized(deduped, exprs, consumers, extractions)
+    roots, exprs = cut
+    extractions = _greedy_pairs(exprs, slp.n_inputs + slp.n_instructions, budget)
+    optimized = _emit_optimized(slp, roots, exprs, extractions)
     if optimized.xor_count < deduped.xor_count:
         return optimized
     return deduped

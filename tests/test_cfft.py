@@ -6,6 +6,7 @@ import pytest
 
 from cfft2047 import (
     BitMatrix,
+    Field,
     build_plan,
     cosets,
     decompose,
@@ -14,7 +15,7 @@ from cfft2047 import (
     plan_from_json,
     plan_to_json,
 )
-from cfft2047 import bilinear, oracle
+from cfft2047 import bilinear, cfft, oracle
 
 from conftest import random_vector, unit_vector
 
@@ -62,6 +63,24 @@ def test_normal_basis(field):
         assert basis.conjugates[s + 1] == field.mul(
             basis.conjugates[s], basis.conjugates[s]
         )
+
+
+def test_normal_basis_is_searched_once_per_polynomial(field, monkeypatch):
+    searched = []
+    search = cfft._search_normal_basis
+
+    def counting_search(f):
+        searched.append(f.genpoly)
+        return search(f)
+
+    monkeypatch.setattr(cfft, "_search_normal_basis", counting_search)
+    monkeypatch.setattr(cfft, "_NORMAL_BASES", {})
+    plan = build_plan(field, 23)
+    assert plan_from_json(plan_to_json(plan)) == plan
+    assert find_normal_basis(Field(field.genpoly)) is find_normal_basis(field)
+    other = Field(0xA01)  # x^11 + x^9 + 1
+    plan_from_json(plan_to_json(build_plan(other, 23)))
+    assert searched == [field.genpoly, other.genpoly]
 
 
 def test_decompose_roundtrip(field):

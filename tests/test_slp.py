@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from collections import Counter
 from functools import cache
 from itertools import combinations
@@ -84,6 +85,20 @@ def test_cse_merges_duplicate_pair(field):
         assert opt.run(field, f) == prog.run(field, f)
 
 
+def test_cse_never_loses_to_value_numbering():
+    # a = x0^x1, b = x1^x0, c = (x0^x1)^b, d = (x0^x1)^a: the pair pass
+    # shares x0^x1 but keeps c and d apart (3 xors); value numbering merges
+    # a, b and both copies of x0^x1, then c and d (2 xors)
+    b = _Builder(2)
+    t_a, t_b = b._emit(XOR, 0, 1), b._emit(XOR, 1, 0)
+    t_c = b._emit(XOR, b._emit(XOR, 0, 1), t_b)
+    t_d = b._emit(XOR, b._emit(XOR, 0, 1), t_a)
+    prog = b.finish([t_a, t_b, t_c, t_d])
+    deduped = _dedup_xors(prog)
+    assert deduped.xor_count == 2
+    assert greedy_cse(prog).to_text() == deduped.to_text()
+
+
 def test_cse_on_plan23(prog23):
     opt = greedy_cse(prog23)
     assert opt.xor_count < prog23.xor_count
@@ -107,14 +122,18 @@ def _bilinear_program(field, matrices):
     return compile_bilinear(field, alg, list(range(3, 3 + alg.r.cols)))
 
 
-@pytest.mark.parametrize("name, digest", [
-    ("t5", "8ac3f9255dd50521"),
-    ("conv11", "c4cf4fd2b6eb8f01"),
-    ("plan1", "279422952316624b"),
-    ("plan23", "04faee62616f841a"),
-    ("plan89", "eb365bd3a8d71491"),
-])
-def test_cse_output_is_pinned(field, plan23, plan89, name, digest):
+CSE_PINS = [  # name, sha256 prefix of greedy_cse(prog).to_text(), its xor count
+    ("t5", "cd70614b3119d107", 27),
+    ("conv11", "1d2150ca3aeba3a2", 117),
+    ("plan1", "279422952316624b", 0),
+    ("plan23", "e20122e1914539aa", 337),
+    ("plan89", "26fc5a3de3e5fd98", 2376),
+]
+
+
+@pytest.mark.parametrize("name, digest, xors", CSE_PINS,
+                         ids=[f"{name}-{digest}" for name, digest, _ in CSE_PINS])
+def test_cse_output_is_pinned(field, plan23, plan89, name, digest, xors):
     prog = {
         "t5": lambda: _bilinear_program(field, t5_matrices),
         "conv11": lambda: _bilinear_program(field, conv11_matrices),
@@ -122,57 +141,71 @@ def test_cse_output_is_pinned(field, plan23, plan89, name, digest):
         "plan23": lambda: compile_plan(plan23),
         "plan89": lambda: compile_plan(plan89),
     }[name]()
-    text = greedy_cse(prog).to_text()
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    opt = greedy_cse(prog)
+    assert opt.xor_count == xors
+    assert opt.cmul_count == prog.cmul_count
+    assert hashlib.sha256(opt.to_text().encode()).hexdigest()[:16] == digest
 
 
-def _gate_work(prog):
-    """What greedy_cse weighs against its budget, computed by recursion.
+def _fibonacci_dag(levels=40):
+    """v_k = v_(k-1) ^ v_(k-2) over inputs x0, x1 for 40 levels (all but
+    the last two v read twice or more), and outputs v_k ^ x2 ^ x3 ^ x4
+    folded left for every fourth k, plus the last v. Expanded in full, the
+    last v is a tree of ~10^8 nodes; value numbering cannot see the shared
+    x2 ^ x3."""
+    b = _Builder(5)
+    v = [0, 1]
+    for _ in range(levels):
+        v.append(b._emit(XOR, v[-1], v[-2]))
+    outputs = [b.xor_fold([v[k], 2, 3, 4]) for k in range(2, len(v), 4)]
+    return b.finish(outputs + [v[-1]])
 
-    Returns (pops, pairs): the node count of every distinct top-level xor
-    tree expanded in full, and the atom pairs of their parity sets.
-    """
+
+def test_cse_cuts_shared_dag():
+    prog = _fibonacci_dag()
+    start = time.perf_counter()
+    opt = greedy_cse(prog)
+    assert time.perf_counter() - start < 0.5
+    assert opt.xor_count < _dedup_xors(prog).xor_count
+    assert opt.cmul_count == prog.cmul_count
+    assert equivalent(opt, prog)
+
+
+def _pair_work(prog):
+    """What greedy_cse weighs against its budget, computed by recursion:
+    the atom pairs of every root's parity set, cut at the roots."""
     n_in = prog.n_inputs
+    reads = Counter(prog.op_a)
+    reads.update(prog.op_b[i] for i in range(prog.n_instructions) if prog.kinds[i] == XOR)
+    cmul_fed = {prog.op_a[i] for i in range(prog.n_instructions) if prog.kinds[i] == CMUL}
 
     def is_xor(v):
         return v >= n_in and prog.kinds[v - n_in] == XOR
 
-    @cache
-    def pops(v):
-        i = v - n_in
-        return 1 + pops(prog.op_a[i]) + pops(prog.op_b[i]) if is_xor(v) else 1
+    def is_root(v):
+        return is_xor(v) and (reads[v] >= 2 or v in cmul_fed or v in prog.outputs)
 
     @cache
     def atoms(v):
-        i = v - n_in
-        return atoms(prog.op_a[i]) ^ atoms(prog.op_b[i]) if is_xor(v) else frozenset([v])
+        if not is_xor(v) or is_root(v):
+            return frozenset([v])
+        return atoms(prog.op_a[v - n_in]) ^ atoms(prog.op_b[v - n_in])
 
-    fed = [prog.op_a[i] for i in range(prog.n_instructions) if prog.kinds[i] == CMUL]
-    roots = [v for v in dict.fromkeys(fed + list(prog.outputs)) if is_xor(v)]
-    return (sum(map(pops, roots)),
-            sum(len(atoms(v)) * (len(atoms(v)) - 1) // 2 for v in roots))
-
-
-def _cancelling_chain():
-    """x0^x1^x2 folded from 23 terms that mostly cancel, and x0^x1^x3:
-    deep xor trees over small parity sets."""
-    b = _Builder(4)
-    return b.finish([b.xor_fold([0, 1] * 10 + [0, 1, 2]), b.xor_fold([0, 1, 3])])
+    sets = [atoms(prog.op_a[v - n_in]) ^ atoms(prog.op_b[v - n_in])
+            for v in range(prog.n_inputs + prog.n_instructions) if is_root(v)]
+    return sum(len(s) * (len(s) - 1) // 2 for s in sets)
 
 
-@pytest.mark.parametrize("name", ["conv11", "cancelling chain"])
+@pytest.mark.parametrize("name", ["conv11", "fibonacci dag"])
 def test_cse_budget_edge(field, name):
     if name == "conv11":
         prog = _bilinear_program(field, conv11_matrices)
     else:
-        prog = _cancelling_chain()
+        prog = _fibonacci_dag()
     deduped = _dedup_xors(prog)
     full = greedy_cse(prog)
     assert full.xor_count < deduped.xor_count
-    pops, pairs = _gate_work(deduped)
-    # conv11 is gated by its pair count, the chain by its expansion count
-    assert (pops > pairs) == (name == "cancelling chain")
-    work = max(pops, pairs)
+    work = _pair_work(prog)
     assert greedy_cse(prog, work).to_text() == full.to_text()
     assert greedy_cse(prog, work - 1).to_text() == deduped.to_text()
 
@@ -268,6 +301,16 @@ def test_from_text_rejects_garbage():
         Slp.from_text("slp 2 1\nout3 = t0\n")  # output index past the header's
     with pytest.raises(ValueError):
         Slp.from_text("slp 2 1\nt2 = xor t0\nout0 = t2\n")  # one operand
+    with pytest.raises(ValueError):
+        Slp.from_text("slp 2 1\nt2 = xor x0 q1\nout0 = t2\n")  # operands not t<digits>
+    with pytest.raises(ValueError):
+        Slp.from_text("slp 2 1\nt2 = xor t0 t1\nq3 = xor t2 t1\nout0 = t3\n")  # id not t<digits>
+    with pytest.raises(ValueError):
+        Slp.from_text("slp 2 1\nt2 = xor t0 t1\nout0 = z2\n")  # output not t<digits>
+    with pytest.raises(ValueError):
+        Slp.from_text("slp 2 1\nt2 = xor t0 t1\noutx = t2\n")  # output index not digits
+    with pytest.raises(ValueError):
+        Slp.from_text("slp 2 1\nt2 = xor t0 t1\nout0 = t2\nout0 = t1\n")  # bound twice
 
 
 def test_validate_rejects_bad_programs():
@@ -403,6 +446,8 @@ def test_equivalent_is_sound(field, a, b, how, data, vectors):
     if how == "cse":
         b = greedy_cse(a)
         assert equivalent(a, b)
+        assert b.cmul_count == a.cmul_count
+        assert b.xor_count <= _dedup_xors(a).xor_count
     elif how == "edit" and a.n_instructions:
         # one operand or constant of a changed: usually a different map
         i = data.draw(st.integers(0, a.n_instructions - 1))
