@@ -22,7 +22,7 @@ from functools import cache
 
 import numpy as np
 
-# Rows converted per numpy pass in the text and packing helpers: enough to
+# Rows packed per numpy pass when a plan's matrix is built: enough to
 # amortise call overhead, small enough that temporaries stay well under a
 # megabyte at 2047 columns.
 CHUNK_ROWS = 128
@@ -32,14 +32,6 @@ def pack_rows(bits) -> list:
     """Row masks of a 2-D 0/1 array: bit j of mask i is bits[i, j]."""
     packed = np.packbits(bits, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def _unpack_rows(masks, cols: int):
-    """Inverse of pack_rows: a (len(masks), cols) uint8 array of bits."""
-    width = (cols + 7) // 8
-    raw = b"".join(m.to_bytes(width, "little") for m in masks)
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
-    return np.unpackbits(packed, axis=1, count=cols, bitorder="little")
 
 
 class BitMatrix:
@@ -83,33 +75,11 @@ class BitMatrix:
         """Parse one row of '0'/'1' characters per line; blank lines and
         the whitespace around each row are ignored.
 
-        Any other character goes through int(), so other decimal digits
-        for 0 and 1 parse, a non-digit raises int()'s ValueError, and the
-        first row that is ragged or holds another digit is reported."""
+        Every character goes through int(), so other decimal digits for 0
+        and 1 parse and a non-digit raises int()'s ValueError; from_rows
+        then reports the first row that is ragged or holds another digit."""
         lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-        rows = len(lines)
-        cols = len(lines[0]) if lines else 0
-        ragged = next((i for i, ln in enumerate(lines) if len(ln) != cols), rows)
-        bad = rows  # first row with an entry other than 0 or 1
-        masks = []
-        for start in range(0, rows, CHUNK_ROWS):
-            chunk = lines[start:start + CHUNK_ROWS]
-            chars = np.array(chunk).view(np.uint32).reshape(len(chunk), -1)
-            bits = (chars == ord("1")).view(np.uint8)
-            odd = (chars != ord("0")) & (chars != ord("1"))
-            if odd.any():  # other characters, or the zero padding of short rows
-                odd &= np.arange(chars.shape[1]) < np.array([len(ln) for ln in chunk])[:, None]
-                other = np.nonzero(odd)
-                values = [int(chr(c)) for c in chars[other].tolist()]
-                bits[other] = [v == 1 for v in values]
-                bad_rows = [r for r, v in zip(other[0].tolist(), values) if v not in (0, 1)]
-                if bad_rows and bad == rows:
-                    bad = start + bad_rows[0]
-            if ragged == rows and bad == rows:
-                masks += pack_rows(bits)
-        if ragged < rows or bad < rows:
-            raise ValueError("ragged rows" if ragged <= bad else "entries must be 0 or 1")
-        return cls(rows, cols, masks)
+        return cls.from_rows([[int(c) for c in ln] for ln in lines])
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
@@ -117,13 +87,9 @@ class BitMatrix:
 
     def to_text(self) -> str:
         """One line of '0'/'1' characters per row, column 0 first."""
-        chunks = []
-        for start in range(0, self.rows, CHUNK_ROWS):
-            bits = _unpack_rows(self.row_masks[start:start + CHUNK_ROWS], self.cols)
-            lines = np.full((len(bits), self.cols + 1), ord("\n"), dtype=np.uint8)
-            lines[:, :-1] = bits + ord("0")
-            chunks.append(lines.tobytes())
-        return b"".join(chunks)[:-1].decode("ascii")
+        # a marker bit above the last column keeps the width, also at 0
+        # columns; it is the first digit, which the reversal drops
+        return "\n".join(f"{m | 1 << self.cols:b}"[:0:-1] for m in self.row_masks)
 
     def entry(self, i: int, j: int) -> int:
         return (self.row_masks[i] >> j) & 1
@@ -146,26 +112,16 @@ class BitMatrix:
 
     def transpose(self) -> "BitMatrix":
         masks = [0] * self.cols
-        for i, m in enumerate(self.row_masks):
-            while m:
-                low = m & -m
-                masks[low.bit_length() - 1] |= 1 << i
-                m ^= low
+        for i in range(self.rows):
+            for j in self.row_indices(i):
+                masks[j] |= 1 << i
         return BitMatrix(self.cols, self.rows, masks)
 
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        masks = []
-        orows = other.row_masks
-        for m in self.row_masks:
-            acc = 0
-            while m:
-                low = m & -m
-                acc ^= orows[low.bit_length() - 1]
-                m ^= low
-            masks.append(acc)
-        return BitMatrix(self.rows, other.cols, masks)
+        # row i of the product xors the rows of other that row i selects
+        return BitMatrix(self.rows, other.cols, self.apply_field(other.row_masks))
 
     def apply_bits(self, v: int) -> int:
         """GF(2) matrix times bit-vector (v is a bitmask over columns)."""

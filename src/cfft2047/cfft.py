@@ -15,6 +15,7 @@ safe for concurrent evaluation.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,30 +135,43 @@ def _coordinate_bits(basis: NormalBasis):
 
 
 class CfftPlan:
-    """Frozen description of one transform of length n."""
+    """Frozen description of one transform of length n.
 
-    def __init__(
-        self,
-        field: Field,
-        n: int,
-        coset_table: CosetTable,
-        gamma_exponent: int,
-        permutation,
-        constants,
-        a_matrix: BitMatrix,
-        mult_count: int,
-        add_count: int,
-    ):
+    A plan is fixed by its field, n, the input permutation, the per-coset
+    constants and the recombination matrix A. The coset table, the basis
+    exponent and both operation counts are derived here, so they always
+    describe the plan's own matrices.
+    """
+
+    def __init__(self, field: Field, n: int, permutation, constants, a_matrix: BitMatrix):
         self.field = field
         self.n = n
-        self.coset_table = coset_table
-        self.gamma_exponent = gamma_exponent
+        self.coset_table = cosets(n)
+        self.gamma_exponent = find_normal_basis(field).exponent
         self.permutation = tuple(permutation)
         self.constants = tuple(constants)
         self.a_matrix = a_matrix
-        self.mult_count = mult_count
-        self.add_count = add_count
-        self._eval_cache = None
+        if sorted(self.permutation) != list(range(n)):
+            raise ValueError("permutation is not a bijection")
+        nbig = len(self.big_cosets)
+        if len(self.constants) != 1 + 43 * nbig:
+            raise ValueError(
+                f"expected {1 + 43 * nbig} constants for {nbig} size-11 cosets, "
+                f"got {len(self.constants)}"
+            )
+        if any(v < 0 or v > field.n for v in self.constants):
+            raise ValueError("constant out of range")
+        if (a_matrix.rows, a_matrix.cols) != (n, n):
+            raise ValueError("recombination matrix has wrong shape")
+        alg = bilinear.conv11_matrices()
+        self.mult_count = sum(1 for v in self.constants if v not in (0, 1))
+        self.add_count = nbig * (
+            _stage_add_count(alg.p) + _stage_add_count(alg.q)
+        ) + _stage_add_count(a_matrix)
+        # evaluate's gather index, and its constants as one row per product
+        self._perm_index = np.array(self.permutation, dtype=np.intp)
+        self._const_rows = np.array(self.constants[1:], dtype=np.int16).reshape(nbig, 43).T
+        self._perm_index.flags.writeable = self._const_rows.flags.writeable = False
 
     @property
     def big_cosets(self):
@@ -168,13 +182,9 @@ class CfftPlan:
             isinstance(other, CfftPlan)
             and self.field.genpoly == other.field.genpoly
             and self.n == other.n
-            and self.coset_table == other.coset_table
-            and self.gamma_exponent == other.gamma_exponent
             and self.permutation == other.permutation
             and self.constants == other.constants
             and self.a_matrix == other.a_matrix
-            and self.mult_count == other.mult_count
-            and self.add_count == other.add_count
         )
 
     def __repr__(self) -> str:
@@ -227,37 +237,8 @@ def build_plan(field: Field, n: int) -> CfftPlan:
         bits[:, 0] = 1  # constant column: the size-1 coset contributes f_0 to every output
         bits[:, 1:] = coord_bits[elems].reshape(len(j), -1)
         row_masks += bilinear.pack_rows(bits)
-    a_matrix = BitMatrix(n, n, row_masks)
 
-    mult_count = sum(1 for v in constants if v not in (0, 1))
-    add_count = len(big) * (
-        _stage_add_count(alg.p) + _stage_add_count(alg.q)
-    ) + _stage_add_count(a_matrix)
-
-    return CfftPlan(
-        field=field,
-        n=n,
-        coset_table=table,
-        gamma_exponent=basis.exponent,
-        permutation=permutation,
-        constants=constants,
-        a_matrix=a_matrix,
-        mult_count=mult_count,
-        add_count=add_count,
-    )
-
-
-def _eval_cache(plan: CfftPlan):
-    if plan._eval_cache is None:
-        alg = bilinear.conv11_matrices()
-        nbig = len(plan.big_cosets)
-        consts = np.array(plan.constants[1:], dtype=np.int16).reshape(nbig, 43) \
-            if nbig else np.zeros((0, 43), dtype=np.int16)
-        p_sel = [np.array(alg.p.row_indices(i), dtype=np.intp) for i in range(43)]
-        q_sel = [np.array(alg.q.row_indices(i), dtype=np.intp) for i in range(11)]
-        perm = np.array(plan.permutation, dtype=np.intp)
-        plan._eval_cache = (nbig, consts, p_sel, q_sel, perm)
-    return plan._eval_cache
+    return CfftPlan(field, n, permutation, constants, BitMatrix(n, n, row_masks))
 
 
 _BOOLS = frozenset((bool, np.bool_))
@@ -268,7 +249,6 @@ def evaluate(plan: CfftPlan, f):
     if len(f) != plan.n:
         raise ValueError(f"expected {plan.n} elements, got {len(f)}")
     field = plan.field
-    nbig, consts, p_sel, q_sel, perm = _eval_cache(plan)
 
     vec = np.asarray(f)
     if vec.ndim != 1 or vec.dtype.kind not in "iu":
@@ -278,25 +258,16 @@ def evaluate(plan: CfftPlan, f):
         raise ValueError("elements must be integers, not booleans")
     if vec.min() < 0 or vec.max() > field.n:
         raise ValueError("element out of range 0..2047")
-    fp = vec.astype(np.int16)[perm]
+    fp = vec.astype(np.int16)[plan._perm_index]
 
     lam = [int(fp[0])]
-    if nbig:
-        blocks = fp[1:].reshape(nbig, 11)
-        linear = np.empty((nbig, 43), dtype=np.int16)
-        for t, sel in enumerate(p_sel):
-            col = blocks[:, sel[0]].copy()
-            for j in sel[1:]:
-                col ^= blocks[:, j]
-            linear[:, t] = col
-        prods = field.mul_vec(consts, linear)
-        out_blocks = np.empty((nbig, 11), dtype=np.int16)
-        for s, sel in enumerate(q_sel):
-            col = prods[:, sel[0]].copy()
-            for j in sel[1:]:
-                col ^= prods[:, j]
-            out_blocks[:, s] = col
-        lam.extend(int(v) for v in out_blocks.reshape(-1))
+    if plan._const_rows.size:
+        # P and Q run once for all cosets: each operand is a row of values,
+        # one per coset, and apply_field xors whole rows
+        alg = bilinear.conv11_matrices()
+        linear = alg.p.apply_field(fp[1:].reshape(-1, 11).T)
+        prods = field.mul_vec(plan._const_rows, linear)
+        lam += np.array(alg.q.apply_field(prods)).T.reshape(-1).tolist()
 
     return plan.a_matrix.apply_field_packed(lam)
 
@@ -306,18 +277,24 @@ def evaluate(plan: CfftPlan, f):
 # ---------------------------------------------------------------------------
 
 
+PLAN_FORMAT = "cfft2047-plan-2"
+_PLAN_KEYS = frozenset(("format", "genpoly", "n", "permutation", "constants", "a_matrix"))
+_HEX_ROW = re.compile("[0-9a-f]*")
+
+
 def plan_to_json(plan: CfftPlan) -> str:
+    """The plan as JSON: what a plan can vary, and nothing derived from it.
+
+    Row i of A is a fixed-width lowercase hex mask; bit j of int(row, 16)
+    is column j."""
+    width = (plan.n + 3) // 4
     doc = {
-        "format": "cfft2047-plan",
-        "field": {"m": plan.field.m, "genpoly": plan.field.genpoly, "n": plan.field.n},
+        "format": PLAN_FORMAT,
+        "genpoly": plan.field.genpoly,
         "n": plan.n,
-        "cosets": [list(c) for c in plan.coset_table.cosets],
-        "gamma_exponent": plan.gamma_exponent,
         "permutation": list(plan.permutation),
         "constants": list(plan.constants),
-        "a_matrix": plan.a_matrix.to_text().splitlines(),
-        "mult_count": plan.mult_count,
-        "add_count": plan.add_count,
+        "a_matrix": [f"{m:0{width}x}" for m in plan.a_matrix.row_masks],
     }
     return json.dumps(doc, indent=None, separators=(",", ":"), sort_keys=True)
 
@@ -340,51 +317,34 @@ def _require(doc: dict, key: str, valid, what: str):
 
 
 def plan_from_json(text: str) -> CfftPlan:
-    """Inverse of plan_to_json. A document that is not a consistent plan
-    raises ValueError; add_count is taken as stored."""
+    """Inverse of plan_to_json. A document that is not a plan raises
+    ValueError; its counts are derived from its matrices."""
     doc = json.loads(text)
-    if not isinstance(doc, dict) or doc.get("format") != "cfft2047-plan":
+    if not isinstance(doc, dict):
         raise ValueError("not a plan document")
-    field_doc = _require(doc, "field", lambda v: isinstance(v, dict), "an object")
-    field = Field(_require(field_doc, "genpoly", _is_int, "an integer"))
+    _require(doc, "format", lambda v: v == PLAN_FORMAT, repr(PLAN_FORMAT))
+    unknown = sorted(set(doc) - _PLAN_KEYS)
+    if unknown:
+        raise ValueError(f"plan document has unknown key {unknown[0]!r}")
+    genpoly = _require(doc, "genpoly", _is_int, "an integer")
     n = _require(doc, "n", _is_int, "an integer")
     ints = _list_of(_is_int)
-    cosets_doc = _require(doc, "cosets", _list_of(ints), "a list of integer lists")
-    table = CosetTable(n=n, cosets=tuple(tuple(c) for c in cosets_doc))
-    permutation = tuple(_require(doc, "permutation", ints, "a list of integers"))
-    constants = tuple(_require(doc, "constants", ints, "a list of integers"))
+    permutation = _require(doc, "permutation", ints, "a list of integers")
+    constants = _require(doc, "constants", ints, "a list of integers")
     rows = _require(doc, "a_matrix", _list_of(lambda r: isinstance(r, str)),
                     "a list of strings")
-    gamma_exponent = _require(doc, "gamma_exponent", _is_int, "an integer")
-    mult_count = _require(doc, "mult_count", _is_int, "an integer")
-    add_count = _require(doc, "add_count", _is_int, "an integer")
-    if table != cosets(n):
-        raise ValueError("coset table does not match n")
-    if sorted(permutation) != list(range(n)):
-        raise ValueError("permutation is not a bijection")
-    if any(v < 0 or v > field.n for v in constants):
-        raise ValueError("constant out of range")
-    nbig = sum(1 for c in table.cosets if len(c) == 11)
-    if len(constants) != 1 + 43 * nbig:
-        raise ValueError(
-            f"expected {1 + 43 * nbig} constants for {nbig} size-11 cosets, "
-            f"got {len(constants)}"
-        )
-    if mult_count != sum(1 for v in constants if v not in (0, 1)):
-        raise ValueError("mult_count does not match the constants")
-    if gamma_exponent != find_normal_basis(field).exponent:
-        raise ValueError("gamma_exponent does not match the field's normal basis")
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise ValueError("recombination matrix has wrong shape")
-    a_matrix = BitMatrix.from_text("\n".join(rows))
-    return CfftPlan(
-        field=field,
-        n=n,
-        coset_table=table,
-        gamma_exponent=gamma_exponent,
-        permutation=permutation,
-        constants=constants,
-        a_matrix=a_matrix,
-        mult_count=mult_count,
-        add_count=add_count,
-    )
+    cosets(n)  # rejects a length that does not divide 2047
+    if len(rows) != n:
+        raise ValueError(f"plan 'a_matrix' has {len(rows)} rows, expected {n}")
+    width, limit = (n + 3) // 4, 1 << n
+    masks = []
+    for i, row in enumerate(rows):
+        # int(row, 16) alone would also take 0x, _, a sign, whitespace and A-F
+        mask = int(row, 16) if len(row) == width and _HEX_ROW.fullmatch(row) else -1
+        if not 0 <= mask < limit:
+            raise ValueError(
+                f"plan 'a_matrix' row {i} is not {width} lowercase hex digits "
+                f"holding a mask below 2^{n}"
+            )
+        masks.append(mask)
+    return CfftPlan(Field(genpoly), n, permutation, constants, BitMatrix(n, n, masks))

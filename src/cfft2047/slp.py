@@ -333,12 +333,11 @@ def _stage_sets(slp: Slp, budget: int):
     return roots, exprs
 
 
-def _greedy_pairs(exprs, first_ext_id, budget):
+def _greedy_pairs(exprs, first_ext_id):
     """Repeatedly extract the most frequent atom pair across all expressions.
 
     Ties break toward the lexicographically smallest pair. Mutates exprs in
-    place; returns the extraction list [(new_id, a, b), ...] or None if the
-    initial pair enumeration exceeds the budget.
+    place; returns the extraction list [(new_id, a, b), ...].
 
     The state is an incidence matrix M (expression x atom, atoms in id
     order, one new column per extraction) and the pair counts C = M^T M
@@ -347,8 +346,6 @@ def _greedy_pairs(exprs, first_ext_id, budget):
     (a, b) as w only lowers counts in columns a and b and fills column w,
     the largest, so a cache goes stale only when its partner was a or b.
     """
-    if sum(len(s) * (len(s) - 1) // 2 for s in exprs) > budget:
-        return None
     atom_ids = sorted(set().union(*exprs))
     if not atom_ids:
         return []
@@ -465,7 +462,7 @@ def greedy_cse(slp: Slp, budget: int = 5_000_000) -> Slp:
     if cut is None or not all(cut[1]):
         return deduped
     roots, exprs = cut
-    extractions = _greedy_pairs(exprs, slp.n_inputs + slp.n_instructions, budget)
+    extractions = _greedy_pairs(exprs, slp.n_inputs + slp.n_instructions)
     optimized = _emit_optimized(slp, roots, exprs, extractions)
     if optimized.xor_count < deduped.xor_count:
         return optimized

@@ -91,6 +91,7 @@ def test_bitmatrix_text_edge_shapes(shape):
     rng = random.Random(rows * 100 + cols)
     m = BitMatrix(rows, cols, [rng.getrandbits(cols) for _ in range(rows)])
     assert m.to_text() == _per_bit_text(m)
+    assert BitMatrix(rows, 0, [0] * rows).to_text() == "\n" * (rows - 1)  # empty rows
     assert BitMatrix.from_text(m.to_text()) == m
     assert BitMatrix.from_text(m.to_text()) == _per_char_parse(m.to_text())
 

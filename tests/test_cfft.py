@@ -3,11 +3,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cfft2047 import (
     BitMatrix,
     Field,
     build_plan,
+    compile_plan,
     cosets,
     decompose,
     evaluate,
@@ -261,6 +263,25 @@ def test_evaluate_2047(field, plan2047):
         assert evaluate(plan2047, f) == oracle.naive_dft(field, f)
 
 
+elements_2047 = st.lists(st.integers(0, 2047), min_size=2047, max_size=2047)
+
+
+@settings(max_examples=10, deadline=None)
+@given(f=elements_2047)
+def test_evaluate_twice_reverses_indices_2047(plan2047, f):
+    # sum_j alpha^(j(i + k)) is n = 1 when i + k = 0 mod n and 0 otherwise
+    assert evaluate(plan2047, evaluate(plan2047, f)) == [f[-j % 2047] for j in range(2047)]
+
+
+@settings(max_examples=10, deadline=None)
+@given(f=elements_2047)
+def test_evaluate_frobenius_2047(field, plan2047, f):
+    # squaring is additive in characteristic 2, so F(f^2)[2j] = F(f)[j]^2
+    once = evaluate(plan2047, f)
+    squared = evaluate(plan2047, [field.mul(v, v) for v in f])
+    assert [squared[2 * j % 2047] for j in range(2047)] == [field.mul(v, v) for v in once]
+
+
 def test_plan_roundtrip(field, plan23):
     text = plan_to_json(plan23)
     back = plan_from_json(text)
@@ -284,6 +305,9 @@ def test_plan_from_json_validation(plan23):
     doc["format"] = "something-else"
     with pytest.raises(ValueError):
         plan_from_json(json.dumps(doc))
+    doc["format"] = "cfft2047-plan"  # the old format has no reader
+    with pytest.raises(ValueError, match="is not 'cfft2047-plan-2'"):
+        plan_from_json(json.dumps(doc))
     doc = json.loads(plan_to_json(plan23))
     doc["permutation"][0] = doc["permutation"][1]
     with pytest.raises(ValueError):
@@ -303,8 +327,22 @@ def test_build_plan_rejects_bad_length(field):
         build_plan(field, 11)
 
 
-PLAN_KEYS = ("field", "n", "cosets", "gamma_exponent", "permutation",
-             "constants", "a_matrix", "mult_count", "add_count")
+PLAN_KEYS = ("format", "genpoly", "n", "permutation", "constants", "a_matrix")
+
+
+@pytest.mark.parametrize("n", [1, 23, 89, 2047])
+def test_plan_document_holds_only_what_a_plan_varies(field, n):
+    plan = build_plan(field, n)
+    text = plan_to_json(plan)
+    doc = json.loads(text)
+    assert sorted(doc) == sorted(PLAN_KEYS)
+    assert doc["format"] == "cfft2047-plan-2"
+    width = (n + 3) // 4
+    for row, mask in zip(doc["a_matrix"], plan.a_matrix.row_masks):
+        assert len(row) == width and int(row, 16) == mask
+    assert plan_from_json(text) == plan
+    if n == 2047:
+        assert len(text) < 1_200_000
 
 
 @pytest.mark.parametrize("key", PLAN_KEYS)
@@ -315,11 +353,11 @@ def test_plan_from_json_missing_key(plan23, key):
         plan_from_json(json.dumps(doc))
 
 
-@pytest.mark.parametrize("edit", [lambda f: f.pop("genpoly"),
-                                  lambda f: f.update(genpoly="0x805")])
+@pytest.mark.parametrize("edit", [lambda d: d.pop("genpoly"),
+                                  lambda d: d.update(genpoly="0x805")])
 def test_plan_from_json_rejects_bad_genpoly(plan23, edit):
     doc = json.loads(plan_to_json(plan23))
-    edit(doc["field"])
+    edit(doc)
     with pytest.raises(ValueError, match="genpoly"):
         plan_from_json(json.dumps(doc))
 
@@ -341,24 +379,42 @@ def test_plan_from_json_rejects_inconsistent_counts(plan23):
         load(lambda d: d["constants"].append(1))
     with pytest.raises(ValueError, match="expected 87 constants"):
         load(lambda d: d["constants"].pop(0))
-    with pytest.raises(ValueError, match="mult_count"):
-        load(lambda d: d.update(mult_count=d["mult_count"] + 1))
-    with pytest.raises(ValueError, match="mult_count"):
-        load(lambda d: d["constants"].__setitem__(2, 1))
-    with pytest.raises(ValueError, match="gamma_exponent"):
-        load(lambda d: d.update(gamma_exponent=10))
-    with pytest.raises(ValueError, match="coset table"):
-        load(lambda d: d["cosets"].pop())
-    # add_count is not recomputed: a stored count loads as written
-    assert load(lambda d: d.update(add_count=d["add_count"] + 1)).add_count == \
-        plan23.add_count + 1
+    # counts are derived, not stored: a stored count is an unknown key
+    with pytest.raises(ValueError, match="add_count"):
+        load(lambda d: d.update(add_count=plan23.add_count))
+    assert load(lambda d: d["constants"].__setitem__(2, 1)).mult_count == \
+        plan23.mult_count - 1
 
 
+def test_loaded_plan_counts_its_own_matrix(plan23):
+    doc = json.loads(plan_to_json(plan23))
+    row = doc["a_matrix"][5]
+    doc["a_matrix"][5] = row[:3] + f"{int(row[3], 16) ^ 0b0100:x}" + row[4:]
+    bad = plan_from_json(json.dumps(doc))
+    assert bad.a_matrix != plan23.a_matrix
+    assert bad.add_count == compile_plan(bad).xor_count != plan23.add_count
+
+
+def _rows_with(bad_row):
+    """23 well-formed hex rows of width 6, the last one replaced."""
+    return ["000001"] * 22 + [bad_row]
+
+
+# cosets, gamma_exponent, mult_count, add_count and field are keys of the
+# old format, so the document is rejected for holding an unknown key
 @pytest.mark.parametrize("key, value", [
     ("n", "23"), ("n", 23.0), ("n", True), ("cosets", [[0], "1"]),
     ("permutation", [0.0] * 23), ("constants", ["7"] * 87), ("a_matrix", 5),
     ("a_matrix", [1] * 23), ("gamma_exponent", None), ("mult_count", 84.0),
     ("add_count", "552"), ("field", []),
+    ("format", "cfft2047-plan"), ("format", None),
+    ("a_matrix", _rows_with("00001")), ("a_matrix", _rows_with("0000001")),
+    ("a_matrix", _rows_with("00000A")), ("a_matrix", _rows_with("0x0001")),
+    ("a_matrix", _rows_with("00_001")), ("a_matrix", _rows_with("+00001")),
+    ("a_matrix", _rows_with("-00001")), ("a_matrix", _rows_with(" 00001")),
+    ("a_matrix", _rows_with("00001\n")), ("a_matrix", _rows_with("00000\u0661")),
+    ("a_matrix", _rows_with("800000")), ("a_matrix", _rows_with("ffffff")),
+    ("a_matrix", _rows_with("000001")[:-1]),
 ])
 def test_plan_from_json_rejects_wrong_types(plan23, key, value):
     doc = json.loads(plan_to_json(plan23))

@@ -98,9 +98,8 @@ def test_verify_corrupted_plan_fails(capsys, tmp_path, plan23):
     from cfft2047 import plan_to_json
 
     doc = json.loads(plan_to_json(plan23))
-    row = list(doc["a_matrix"][5])
-    row[7] = "0" if row[7] == "1" else "1"
-    doc["a_matrix"][5] = "".join(row)
+    row = doc["a_matrix"][5]  # six hex digits; flip one bit of the fourth
+    doc["a_matrix"][5] = row[:3] + f"{int(row[3], 16) ^ 0b0100:x}" + row[4:]
     bad_path = tmp_path / "bad.json"
     bad_path.write_text(json.dumps(doc))
     code, out, _ = run_cli(
@@ -196,7 +195,7 @@ def test_eval_rejects_plan_missing_key(capsys, tmp_path, plan23):
     from cfft2047 import plan_to_json
 
     doc = json.loads(plan_to_json(plan23))
-    del doc["mult_count"]
+    del doc["constants"]
     bad_path = tmp_path / "bad.json"
     bad_path.write_text(json.dumps(doc))
     src = tmp_path / "in.hex"
@@ -204,20 +203,66 @@ def test_eval_rejects_plan_missing_key(capsys, tmp_path, plan23):
     code, _, err = run_cli(capsys, "eval", "--n", "23", "--in", str(src),
                            "--out", str(tmp_path / "o.hex"), "--plan", str(bad_path))
     assert code == 2
-    assert "mult_count" in err
+    assert "'constants'" in err
 
 
 def test_verify_rejects_inconsistent_plan(capsys, tmp_path, plan23):
     from cfft2047 import plan_to_json
 
     doc = json.loads(plan_to_json(plan23))
-    doc["gamma_exponent"] += 1
+    doc["constants"].append(1)
     bad_path = tmp_path / "bad.json"
     bad_path.write_text(json.dumps(doc))
     code, _, err = run_cli(capsys, "verify", "--n", "23", "--trials", "1",
                            "--plan", str(bad_path))
     assert code == 2
-    assert "gamma_exponent" in err
+    assert "expected 87 constants" in err
+
+
+def _set_row(i, row):
+    return lambda d: d["a_matrix"].__setitem__(i, row)
+
+
+BAD_PLAN_EDITS = [  # name, edit of a well-formed n = 23 document, error text
+    ("old tag", lambda d: d.update(format="cfft2047-plan"), "'cfft2047-plan-2'"),
+    ("missing key", lambda d: d.pop("permutation"), "'permutation'"),
+    ("unknown key", lambda d: d.update(add_count=552), "'add_count'"),
+    ("genpoly type", lambda d: d.update(genpoly="0x805"), "'genpoly'"),
+    ("genpoly not primitive", lambda d: d.update(genpoly=0x801), "primitive"),
+    ("n type", lambda d: d.update(n=23.0), "'n'"),
+    ("n", lambda d: d.update(n=7), "does not divide 2047"),
+    ("permutation", lambda d: d["permutation"].__setitem__(0, 1), "bijection"),
+    ("constant range", lambda d: d["constants"].__setitem__(3, 2048), "out of range"),
+    ("constant count", lambda d: d["constants"].pop(), "expected 87 constants"),
+    ("row count", lambda d: d["a_matrix"].pop(), "has 22 rows"),
+    ("row width", _set_row(4, "0000001"), "row 4"),
+    ("uppercase", _set_row(4, "00000F"), "row 4"),
+    ("0x prefix", _set_row(4, "0x0001"), "row 4"),
+    ("underscore", _set_row(4, "00_001"), "row 4"),
+    ("sign", _set_row(4, "+00001"), "row 4"),
+    ("whitespace", _set_row(4, "00001 "), "row 4"),
+    ("mask too wide", _set_row(4, "800001"), "row 4"),
+]
+
+
+@pytest.mark.parametrize("edit, message", [e[1:] for e in BAD_PLAN_EDITS],
+                         ids=[e[0] for e in BAD_PLAN_EDITS])
+def test_eval_and_verify_reject_bad_plan(capsys, tmp_path, plan23, edit, message):
+    doc = json.loads(plan_to_json(plan23))
+    edit(doc)
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        plan_from_json(bad_path.read_text())
+    src = tmp_path / "in.hex"
+    src.write_text("0x000\n" * 23)
+    for argv in (["eval", "--in", str(src), "--out", str(tmp_path / "o.hex")],
+                 ["verify", "--trials", "1"]):
+        code, out, err = run_cli(capsys, *argv, "--n", "23", "--plan", str(bad_path))
+        assert code == 2, argv[0]
+        assert message in err and "Traceback" not in err + out
+        assert "PASS" not in out and "FAIL" not in out
+    assert not (tmp_path / "o.hex").exists()
 
 
 OTHER_GENPOLY = (1 << 11) | (1 << 9) | 1  # x^11 + x^9 + 1, also primitive

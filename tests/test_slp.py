@@ -244,7 +244,7 @@ def test_greedy_pairs_matches_reference(exprs, gap):
     first_ext_id = 61 + gap
     want, want_exprs = _reference_pairs(exprs, first_ext_id)
     got_exprs = [set(s) for s in exprs]
-    assert _greedy_pairs(got_exprs, first_ext_id, 10**9) == want
+    assert _greedy_pairs(got_exprs, first_ext_id) == want
     assert got_exprs == want_exprs
 
 
