@@ -27,6 +27,9 @@ import numpy as np
 # megabyte at 2047 columns.
 CHUNK_ROWS = 128
 
+# (11, 1) column of bit values: bit b of a field element selects plane b.
+_PLANE_BITS = (1 << np.arange(11, dtype=np.int16))[:, None]
+
 
 def pack_rows(bits) -> list:
     """Row masks of a 2-D 0/1 array: bit j of mask i is bits[i, j]."""
@@ -40,7 +43,7 @@ class BitMatrix:
     Bit j of a row mask is the entry in column j.
     """
 
-    __slots__ = ("rows", "cols", "row_masks", "_row_indices")
+    __slots__ = ("rows", "cols", "row_masks", "_row_indices", "_gather")
 
     def __init__(self, rows: int, cols: int, row_masks):
         row_masks = tuple(row_masks)
@@ -53,6 +56,7 @@ class BitMatrix:
         self.cols = cols
         self.row_masks = row_masks
         self._row_indices = None
+        self._gather = None
 
     @classmethod
     def from_rows(cls, rows) -> "BitMatrix":
@@ -131,34 +135,59 @@ class BitMatrix:
                 out |= 1 << i
         return out
 
+    def _gather_table(self):
+        """(rows, w) column-index table, w the largest row weight (cached).
+
+        Row i lists the columns of row i's ones, padded with `cols`, which
+        apply_field points at an appended zero.
+        """
+        if self._gather is None:
+            indices = [self.row_indices(i) for i in range(self.rows)]
+            width = max(map(len, indices), default=0)
+            table = np.full((self.rows, width), self.cols, dtype=np.intp)
+            for i, row in enumerate(indices):
+                table[i, : len(row)] = row
+            table.flags.writeable = False
+            self._gather = table
+        return self._gather
+
     def apply_field(self, vec):
-        """XOR-accumulate field elements selected by each row."""
+        """XOR-accumulate field elements selected by each row.
+
+        vec holds one entry per column: a list or tuple of ints of any
+        width gives a list, a numpy array of shape (cols, ...) an array of
+        shape (rows, ...). One gather and one xor-reduce do all rows.
+        """
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            acc = 0
-            for j in self.row_indices(i):
-                acc ^= vec[j]
-            out.append(acc)
-        return out
+        # convert in: the zero the table's padding points at goes last
+        listed = isinstance(vec, (list, tuple))
+        if listed:
+            padded = np.asarray([*vec, 0])
+            if padded.dtype.kind not in "iu":  # 2^63 beside 0 reads as a float
+                padded = np.array([*vec, 0], dtype=object)
+        else:
+            vec = np.asarray(vec)
+            padded = np.concatenate((vec, np.zeros((1,) + vec.shape[1:], vec.dtype)))
+        out = np.bitwise_xor.reduce(padded[self._gather_table()], axis=1)
+        return out.tolist() if listed else out
 
     def apply_field_packed(self, vec):
         """Same result as apply_field for GF(2^11) elements, via bit planes.
 
         Much faster for wide matrices: one AND+popcount per (row, plane)
-        instead of one XOR per matrix entry.
+        instead of one XOR per matrix entry. Elements must be integers in
+        0..2047; the result is a list.
         """
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        planes = [0] * 11
-        for i, v in enumerate(vec):
-            b = 0
-            while v:
-                if v & 1:
-                    planes[b] |= 1 << i
-                v >>= 1
-                b += 1
+        v = np.asarray(vec)
+        if v.ndim != 1 or v.size and (
+            v.dtype.kind not in "iu" or v.min() < 0 or v.max() > 2047
+        ):
+            raise ValueError("elements must be integers in 0..2047")
+        # plane b holds bit b of every element: one packbits for all 11
+        planes = pack_rows((v.astype(np.int16) & _PLANE_BITS) != 0)
         out = []
         for m in self.row_masks:
             acc = 0

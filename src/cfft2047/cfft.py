@@ -244,32 +244,63 @@ def build_plan(field: Field, n: int) -> CfftPlan:
 _BOOLS = frozenset((bool, np.bool_))
 
 
-def evaluate(plan: CfftPlan, f):
-    """Run the plan; bit-exact equal to the naive DFT of f."""
+# evaluate's stages pass (dc, block): dc is the permuted f_0 as a length-1
+# array, block an (11 or 43, cosets) array with one column per size-11
+# coset, so P and Q run once for all cosets and apply_field xors whole rows.
+
+
+def _permute(plan: CfftPlan, f):
+    """Check f and gather it into coset order."""
     if len(f) != plan.n:
         raise ValueError(f"expected {plan.n} elements, got {len(f)}")
-    field = plan.field
-
     vec = np.asarray(f)
     if vec.ndim != 1 or vec.dtype.kind not in "iu":
         raise ValueError("elements must be integers")
     # np.asarray turns a bool mixed into ints into an int, so look at the types
     if isinstance(f, (list, tuple)) and not _BOOLS.isdisjoint(map(type, f)):
         raise ValueError("elements must be integers, not booleans")
-    if vec.min() < 0 or vec.max() > field.n:
+    if vec.min() < 0 or vec.max() > plan.field.n:
         raise ValueError("element out of range 0..2047")
     fp = vec.astype(np.int16)[plan._perm_index]
+    return fp[:1], fp[1:].reshape(-1, 11).T
 
-    lam = [int(fp[0])]
-    if plan._const_rows.size:
-        # P and Q run once for all cosets: each operand is a row of values,
-        # one per coset, and apply_field xors whole rows
-        alg = bilinear.conv11_matrices()
-        linear = alg.p.apply_field(fp[1:].reshape(-1, 11).T)
-        prods = field.mul_vec(plan._const_rows, linear)
-        lam += np.array(alg.q.apply_field(prods)).T.reshape(-1).tolist()
 
-    return plan.a_matrix.apply_field_packed(lam)
+def _stage_p(plan: CfftPlan, x):
+    dc, block = x
+    return dc, bilinear.conv11_matrices().p.apply_field(block)
+
+
+def _stage_mul(plan: CfftPlan, x):
+    dc, block = x
+    return dc, plan.field.mul_vec(plan._const_rows, block)
+
+
+def _stage_q(plan: CfftPlan, x):
+    dc, block = x
+    return dc, bilinear.conv11_matrices().q.apply_field(block)
+
+
+def _stage_a(plan: CfftPlan, x):
+    dc, block = x
+    return plan.a_matrix.apply_field_packed(np.concatenate((dc, block.T.reshape(-1))))
+
+
+# (name, stage) in order; each stage maps (plan, previous result) to its own
+EVALUATE_STAGES = (
+    ("permute", _permute),
+    ("P", _stage_p),
+    ("mul", _stage_mul),
+    ("Q", _stage_q),
+    ("A", _stage_a),
+)
+
+
+def evaluate(plan: CfftPlan, f):
+    """Run the plan's stages; bit-exact equal to the naive DFT of f."""
+    x = f
+    for _, stage in EVALUATE_STAGES:
+        x = stage(plan, x)
+    return x
 
 
 # ---------------------------------------------------------------------------

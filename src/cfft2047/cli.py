@@ -244,6 +244,7 @@ def cmd_bench(args) -> int:
         return 1
     vecs = [[rng.randrange(2048) for _ in range(args.n)] for _ in range(args.trials)]
     plan_times, naive_times = [], []
+    stage_times = {name: [] for name, _ in cfft.EVALUATE_STAGES}
     for v in vecs:
         t0 = time.perf_counter()
         got = cfft.evaluate(plan, v)
@@ -251,7 +252,13 @@ def cmd_bench(args) -> int:
         t0 = time.perf_counter()
         want = oracle.naive_dft(field, v)
         naive_times.append(time.perf_counter() - t0)
-        if got != want:
+        # the stages evaluate runs, one clock reading around each
+        staged = v
+        for name, stage in cfft.EVALUATE_STAGES:
+            t0 = time.perf_counter()
+            staged = stage(plan, staged)
+            stage_times[name].append(time.perf_counter() - t0)
+        if got != want or staged != want:
             print("FAIL bench outputs disagree with the oracle")
             return 1
     pm = statistics.median(plan_times)
@@ -260,6 +267,8 @@ def cmd_bench(args) -> int:
     print(f"build_plan:             {build_s * 1e3:.3f} ms")
     print(f"plan_to_json:           {save_s * 1e3:.3f} ms")
     print(f"plan_from_json:         {load_s * 1e3:.3f} ms")
+    for name, times in stage_times.items():
+        print(f"{'stage ' + name + ' median:':<24}{statistics.median(times) * 1e3:.3f} ms")
     print(f"plan evaluation median: {pm * 1e3:.3f} ms")
     print(f"naive DFT median:       {nm * 1e3:.3f} ms")
     print(f"speedup: {nm / pm:.2f}x")
@@ -346,7 +355,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_complexity)
 
-    p = sub.add_parser("bench", help="time plan evaluation against the naive DFT")
+    p = sub.add_parser("bench", help="time plan evaluation, stage by stage, "
+                                     "against the naive DFT")
     add_n(p)
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)

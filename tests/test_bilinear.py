@@ -1,7 +1,8 @@
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cfft2047 import (
     BitMatrix,
@@ -158,6 +159,72 @@ def test_bitmatrix_packed_matches_plain(field):
     m = BitMatrix.from_rows(rows)
     vec = random_vector(rng, 40)
     assert m.apply_field(vec) == m.apply_field_packed(vec)
+
+
+def _per_entry_apply(m, vec):
+    """Reference: xor vec[j] into output i for every entry (i, j) that is 1."""
+    out = []
+    for i in range(m.rows):
+        acc = 0
+        for j in range(m.cols):
+            if m.entry(i, j):
+                acc ^= vec[j]
+        out.append(acc)
+    return out
+
+
+@st.composite
+def kernel_cases(draw):
+    """A matrix with some all-zero rows, a field vector, a (cols, k) block
+    and a vector of ints up to 100 bits wide."""
+    rows = draw(st.integers(0, 45))
+    cols = draw(st.integers(0, 70))
+    mask = st.one_of(st.just(0), st.integers(0, (1 << cols) - 1))
+    m = BitMatrix(rows, cols, draw(st.lists(mask, min_size=rows, max_size=rows)))
+    elems = lambda size: st.lists(st.integers(0, 2047), min_size=size, max_size=size)  # noqa: E731
+    vec = draw(elems(cols))
+    k = draw(st.integers(0, 4))
+    block = np.array(draw(elems(cols * k)), dtype=np.int16).reshape(cols, k)
+    wide = draw(st.lists(st.integers(0, 1 << 100), min_size=cols, max_size=cols))
+    return m, vec, block, wide
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_cases())
+@example((BitMatrix(0, 0, []), [], np.zeros((0, 2), np.int16), []))
+@example((BitMatrix(3, 0, [0, 0, 0]), [], np.zeros((0, 1), np.int16), []))
+@example((BitMatrix(2, 9, [0, 0x1FF]), [2047] * 9, np.full((9, 3), 5, np.int16), [1 << 90] * 9))
+# np.asarray reads 2^63 beside the padding zero as a float64 array
+@example((BitMatrix(1, 1, [1]), [0], np.zeros((1, 0), np.int16), [1 << 63]))
+def test_apply_field_kernels_match_per_entry_reference(case):
+    m, vec, block, wide = case
+    want = _per_entry_apply(m, vec)
+    got = m.apply_field(vec)
+    assert type(got) is list and all(type(v) is int for v in got)
+    assert got == want
+    assert m.apply_field(tuple(vec)) == want
+    assert m.apply_field_packed(vec) == want
+    assert m.apply_field_packed(np.array(vec, dtype=np.int16)) == want
+    out = m.apply_field(block)
+    assert isinstance(out, np.ndarray) and out.shape == (m.rows, block.shape[1])
+    for c in range(block.shape[1]):
+        assert out[:, c].tolist() == _per_entry_apply(m, block[:, c].tolist())
+    assert m.apply_field(wide) == _per_entry_apply(m, wide)
+
+
+@pytest.mark.parametrize("bad", [2048, -1, 1.5, 1 << 70, "3"])
+def test_apply_field_packed_rejects_bad_elements(bad):
+    m = BitMatrix(2, 3, [0b101, 0b110])
+    for vec in ([1, 2, bad], (bad, 0, 0)):
+        with pytest.raises(ValueError, match="integers in 0..2047"):
+            m.apply_field_packed(vec)
+    if not isinstance(bad, str):
+        with pytest.raises(ValueError, match="integers in 0..2047"):
+            m.apply_field_packed(np.array([0, bad, 0]))
+    with pytest.raises(ValueError, match="integers in 0..2047"):
+        m.apply_field_packed(np.zeros((3, 2), dtype=np.int16))
+    with pytest.raises(ValueError, match="length mismatch"):
+        m.apply_field_packed([1, 2])
 
 
 # --- length-5 and length-10 Toeplitz products -------------------------------

@@ -274,6 +274,17 @@ def test_evaluate_twice_reverses_indices_2047(plan2047, f):
 
 
 @settings(max_examples=10, deadline=None)
+@given(seed_f=st.integers(0, 2**32 - 1), seed_g=st.integers(0, 2**32 - 1))
+def test_evaluate_linearity_2047(plan2047, seed_f, seed_g):
+    # seeds, not drawn 2047-element lists, keep Hypothesis' inputs small
+    f = random_vector(random.Random(seed_f), 2047)
+    g = random_vector(random.Random(seed_g), 2047)
+    lhs = evaluate(plan2047, [a ^ b for a, b in zip(f, g)])
+    rhs = [a ^ b for a, b in zip(evaluate(plan2047, f), evaluate(plan2047, g))]
+    assert lhs == rhs
+
+
+@settings(max_examples=10, deadline=None)
 @given(f=elements_2047)
 def test_evaluate_frobenius_2047(field, plan2047, f):
     # squaring is additive in characteristic 2, so F(f^2)[2j] = F(f)[j]^2

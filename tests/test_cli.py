@@ -189,6 +189,11 @@ def test_bench_plan_beats_naive_at_2047(capsys):
             times[name] = float(value.split()[0])
     for name in ("build_plan", "plan_to_json", "plan_from_json"):
         assert 0 < times[name] < 60_000, name
+    stages = {name: times[f"stage {name} median"]
+              for name in ("permute", "P", "mul", "Q", "A")}
+    assert all(0 < t < 60_000 for t in stages.values()), stages
+    # at n = 2047 the recombination stage A is ~90% of an evaluation
+    assert stages["A"] == max(stages.values()), stages
 
 
 def test_eval_rejects_plan_missing_key(capsys, tmp_path, plan23):
