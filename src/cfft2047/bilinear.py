@@ -127,13 +127,15 @@ class BitMatrix:
         # row i of the product xors the rows of other that row i selects
         return BitMatrix(self.rows, other.cols, self.apply_field(other.row_masks))
 
+    def _row_parities(self, masks):
+        """(len(masks), rows) 0/1 array: entry (k, i) is the parity of row
+        i AND masks[k], the GF(2) product of row i and bit-vector k."""
+        bits = [(m & v).bit_count() & 1 for m in self.row_masks for v in masks]
+        return np.frombuffer(bytes(bits), np.uint8).reshape(self.rows, len(masks)).T
+
     def apply_bits(self, v: int) -> int:
         """GF(2) matrix times bit-vector (v is a bitmask over columns)."""
-        out = 0
-        for i, m in enumerate(self.row_masks):
-            if (m & v).bit_count() & 1:
-                out |= 1 << i
-        return out
+        return pack_rows(self._row_parities([v]))[0]
 
     def _gather_table(self):
         """(rows, w) column-index table, w the largest row weight (cached).
@@ -175,9 +177,9 @@ class BitMatrix:
     def apply_field_packed(self, vec):
         """Same result as apply_field for GF(2^11) elements, via bit planes.
 
-        Much faster for wide matrices: one AND+popcount per (row, plane)
-        instead of one XOR per matrix entry. Elements must be integers in
-        0..2047; the result is a list.
+        The 11 planes go through apply_bits' row-parity kernel: one
+        AND+popcount per (row, plane) instead of one XOR per matrix entry.
+        Elements must be integers in 0..2047; the result is a list.
         """
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
@@ -188,54 +190,19 @@ class BitMatrix:
             raise ValueError("elements must be integers in 0..2047")
         # plane b holds bit b of every element: one packbits for all 11
         planes = pack_rows((v.astype(np.int16) & _PLANE_BITS) != 0)
-        out = []
-        for m in self.row_masks:
-            acc = 0
-            for b in range(11):
-                if (m & planes[b]).bit_count() & 1:
-                    acc |= 1 << b
-            out.append(acc)
-        return out
+        return (self._row_parities(planes) * _PLANE_BITS).sum(axis=0).tolist()
 
     def rank(self) -> int:
-        work = list(self.row_masks)
-        rank = 0
-        for col in range(self.cols):
-            pivot = None
-            for r in range(rank, len(work)):
-                if (work[r] >> col) & 1:
-                    pivot = r
-                    break
-            if pivot is None:
-                continue
-            work[rank], work[pivot] = work[pivot], work[rank]
-            for r in range(len(work)):
-                if r != rank and (work[r] >> col) & 1:
-                    work[r] ^= work[rank]
-            rank += 1
-            if rank == len(work):
-                break
-        return rank
+        return _gauss_jordan(list(self.row_masks), self.cols)
 
     def inverse(self) -> "BitMatrix":
         if self.rows != self.cols:
             raise ValueError("only square matrices can be inverted")
         n = self.rows
-        work = [self.row_masks[i] | (1 << (n + i)) for i in range(n)]
-        rank = 0
-        for col in range(n):
-            pivot = None
-            for r in range(rank, n):
-                if (work[r] >> col) & 1:
-                    pivot = r
-                    break
-            if pivot is None:
-                raise ValueError("matrix is singular over GF(2)")
-            work[rank], work[pivot] = work[pivot], work[rank]
-            for r in range(n):
-                if r != rank and (work[r] >> col) & 1:
-                    work[r] ^= work[rank]
-            rank += 1
+        # reduce [M | I]: at full rank the left half becomes I, the right M^-1
+        work = [m | 1 << (n + i) for i, m in enumerate(self.row_masks)]
+        if _gauss_jordan(work, n) < n:
+            raise ValueError("matrix is singular over GF(2)")
         return BitMatrix(n, n, [w >> n for w in work])
 
     def __eq__(self, other) -> bool:
@@ -251,6 +218,23 @@ class BitMatrix:
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"
+
+
+def _gauss_jordan(work: list, cols: int) -> int:
+    """Reduce the row masks in work over columns 0..cols-1, in place, and
+    return the rank. Pivot rows move to the top in column order; every
+    other row is cleared in each pivot column."""
+    rank = 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, len(work)) if work[r] >> col & 1), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        for r in range(len(work)):
+            if r != rank and work[r] >> col & 1:
+                work[r] ^= work[rank]
+        rank += 1
+    return rank
 
 
 def _vstack(*mats: BitMatrix) -> BitMatrix:

@@ -99,12 +99,7 @@ def _search_normal_basis(field: Field) -> NormalBasis:
         for _ in range(10):
             conj.append(field.mul(conj[-1], conj[-1]))
         # column s of the change-of-basis matrix holds conjugate s
-        rows = [0] * 11
-        for s, c in enumerate(conj):
-            for r in range(11):
-                if (c >> r) & 1:
-                    rows[r] |= 1 << s
-        to_poly = BitMatrix(11, 11, rows)
+        to_poly = BitMatrix(11, 11, conj).transpose()
         if to_poly.rank() == 11:
             return NormalBasis(
                 gamma=gamma,

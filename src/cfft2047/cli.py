@@ -97,11 +97,59 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _first_mismatch(got, want):
-    for i, (g, w) in enumerate(zip(got, want)):
-        if g != w:
-            return i
-    return None
+def _random(rng, size, low=0, high=2047):
+    return [rng.randint(low, high) for _ in range(size)]
+
+
+# Each verify suite yields (label, got, want) cases, got and want lists. It
+# draws its random inputs from the shared rng only as a case is reached.
+
+
+def _conv11_cases(field, rng, trials):
+    def case(label, x, y):
+        return label, bilinear.conv11_apply(field, x, y), oracle.naive_cyclic_conv(field, x, y)
+
+    for i in range(11):
+        yield case(f"unit {i}", [int(j == i) for j in range(11)], _random(rng, 11))
+    for k in range(trials):
+        yield case(f"trial {k}", _random(rng, 11), _random(rng, 11))
+
+
+def _toeplitz_cases(field, rng, trials):
+    def case(label, r, u):
+        apply = bilinear.t5_apply if len(u) == 5 else bilinear.t10_apply
+        return label, apply(field, r, u), oracle.naive_toeplitz(field, r, u)
+
+    u5 = _random(rng, 5)
+    yield "length-5 identity", bilinear.t5_apply(field, [0] * 4 + [1] + [0] * 4, u5), u5
+    u10 = _random(rng, 10)
+    yield "length-10 identity", bilinear.t10_apply(field, [0] * 9 + [1] + [0] * 9, u10), u10
+    for k in range(trials):
+        yield case(f"length-5 trial {k}", _random(rng, 9), _random(rng, 5))
+        yield case(f"length-10 trial {k}", _random(rng, 19), _random(rng, 10))
+
+
+def _integer_cases(rng, trials):
+    def reduction(yp):
+        return f"reduction identity for {yp}", [bilinear.verify_toeplitz_reduction(yp)], [True]
+
+    yield reduction([0] * 10)
+    for k in range(trials):
+        yield reduction(_random(rng, 10, -100, 100))
+        x, y = _random(rng, 11, -100, 100), _random(rng, 11, -100, 100)
+        got, want = bilinear.conv11_int(x, y), oracle.naive_cyclic_conv_int(x, y)
+        yield f"integer convolution trial {k}", got, want
+
+
+def _plan_cases(plan, rng, trials):
+    def case(label, f):
+        return label, cfft.evaluate(plan, f), oracle.naive_dft(plan.field, f)
+
+    n = plan.n
+    for i in range(n if n <= 89 else 20):
+        yield case(f"unit {i}", [int(j == i) for j in range(n)])
+    for k in range(trials if n <= 89 else min(trials, 20)):
+        yield case(f"trial {k}", _random(rng, n))
 
 
 def cmd_verify(args) -> int:
@@ -109,101 +157,23 @@ def cmd_verify(args) -> int:
     plan = _load_or_build_plan(args)
     field = plan.field
     rng = random.Random(args.seed)
+    suites = (
+        ("conv11 vs naive convolution", _conv11_cases(field, rng, args.trials)),
+        ("Toeplitz products vs naive", _toeplitz_cases(field, rng, args.trials)),
+        ("integer transform identities", _integer_cases(rng, args.trials)),
+        (f"transform plan n={plan.n} vs naive DFT", _plan_cases(plan, rng, args.trials)),
+    )
     failures = 0
-
-    def report(name: str, ok: bool, detail: str = ""):
-        nonlocal failures
-        if ok:
-            print(f"PASS {name}")
+    for name, cases in suites:
+        for label, got, want in cases:
+            if got != want:
+                at = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w),
+                          min(len(got), len(want)))
+                print(f"FAIL {name}: {label}, first mismatch at output {at}")
+                failures += 1
+                break
         else:
-            failures += 1
-            print(f"FAIL {name}{': ' + detail if detail else ''}")
-
-    # conv11 suite
-    ok, detail = True, ""
-    for i in range(11):
-        x = [0] * 11
-        x[i] = 1
-        y = [rng.randrange(2048) for _ in range(11)]
-        want = oracle.naive_cyclic_conv(field, x, y)
-        got = bilinear.conv11_apply(field, x, y)
-        if got != want:
-            ok, detail = False, f"unit {i}, first mismatch at {_first_mismatch(got, want)}"
-            break
-    for _ in range(args.trials):
-        if not ok:
-            break
-        x = [rng.randrange(2048) for _ in range(11)]
-        y = [rng.randrange(2048) for _ in range(11)]
-        want = oracle.naive_cyclic_conv(field, x, y)
-        got = bilinear.conv11_apply(field, x, y)
-        if got != want:
-            ok, detail = False, f"first mismatch at output {_first_mismatch(got, want)}"
-    report("conv11 vs naive convolution", ok, detail)
-
-    # Toeplitz suite
-    ok, detail = True, ""
-    ident5 = [0, 0, 0, 0, 1, 0, 0, 0, 0]
-    u5 = [rng.randrange(2048) for _ in range(5)]
-    if bilinear.t5_apply(field, ident5, u5) != u5:
-        ok, detail = False, "length-5 identity failed"
-    ident10 = [0] * 9 + [1] + [0] * 9
-    u10 = [rng.randrange(2048) for _ in range(10)]
-    if ok and bilinear.t10_apply(field, ident10, u10) != u10:
-        ok, detail = False, "length-10 identity failed"
-    for _ in range(args.trials):
-        if not ok:
-            break
-        r5 = [rng.randrange(2048) for _ in range(9)]
-        u5 = [rng.randrange(2048) for _ in range(5)]
-        if bilinear.t5_apply(field, r5, u5) != oracle.naive_toeplitz(field, r5, u5):
-            ok, detail = False, "length-5 random mismatch"
-            break
-        r10 = [rng.randrange(2048) for _ in range(19)]
-        u10 = [rng.randrange(2048) for _ in range(10)]
-        if bilinear.t10_apply(field, r10, u10) != oracle.naive_toeplitz(field, r10, u10):
-            ok, detail = False, "length-10 random mismatch"
-    report("Toeplitz products vs naive", ok, detail)
-
-    # integer transform suite
-    ok, detail = True, ""
-    if not bilinear.verify_toeplitz_reduction([0] * 10):
-        ok, detail = False, "zero vector reduction failed"
-    for _ in range(args.trials):
-        if not ok:
-            break
-        yp = [rng.randint(-100, 100) for _ in range(10)]
-        if not bilinear.verify_toeplitz_reduction(yp):
-            ok, detail = False, f"reduction identity failed for {yp}"
-            break
-        x = [rng.randint(-100, 100) for _ in range(11)]
-        y = [rng.randint(-100, 100) for _ in range(11)]
-        if bilinear.conv11_int(x, y) != oracle.naive_cyclic_conv_int(x, y):
-            ok, detail = False, "integer convolution mismatch"
-    report("integer transform identities", ok, detail)
-
-    # transform-plan suite
-    ok, detail = True, ""
-    n = plan.n
-    units = range(n) if n <= 89 else range(20)
-    for i in units:
-        f = [0] * n
-        f[i] = 1
-        got = cfft.evaluate(plan, f)
-        want = oracle.naive_dft(field, f)
-        if got != want:
-            ok, detail = False, f"unit {i}, first mismatch at output {_first_mismatch(got, want)}"
-            break
-    for _ in range(args.trials if n <= 89 else min(args.trials, 20)):
-        if not ok:
-            break
-        f = [rng.randrange(2048) for _ in range(n)]
-        got = cfft.evaluate(plan, f)
-        want = oracle.naive_dft(field, f)
-        if got != want:
-            ok, detail = False, f"first mismatch at output {_first_mismatch(got, want)}"
-    report(f"transform plan n={n} vs naive DFT", ok, detail)
-
+            print(f"PASS {name}")
     return 1 if failures else 0
 
 
@@ -304,8 +274,6 @@ def cmd_emit(args) -> int:
     field = Field()
     plan = cfft.build_plan(field, args.n)
     program = slp.compile_plan(plan)
-    if args.cse:
-        program = slp.greedy_cse(program)
     with open(args.out, "w") as fh:
         fh.write(program.to_text())
     print(
@@ -313,6 +281,18 @@ def cmd_emit(args) -> int:
         f"xor={program.xor_count}, cmul={program.cmul_count}"
     )
     return 0
+
+
+def _at_least(least: int):
+    """argparse type: an integer no smaller than least."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return count
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -345,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the oracle suites")
     add_n(p)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_at_least(0), default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--plan", help="verify this plan file instead of a fresh build")
     p.set_defaults(func=cmd_verify)
@@ -358,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time plan evaluation, stage by stage, "
                                      "against the naive DFT")
     add_n(p)
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--trials", type=_at_least(1), default=5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 
@@ -374,7 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("emit", help="compile a plan and write the program text")
     add_n(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--cse", action="store_true", help="apply greedy CSE first")
     p.set_defaults(func=cmd_emit)
 
     return ap

@@ -37,6 +37,9 @@ from . import bilinear, cfft
 XOR = 0
 CMUL = 1
 
+# greedy_cse's bound on sum C(|set|, 2) over the parity sets it would pair
+PAIR_BUDGET = 5_000_000
+
 
 class Slp:
     """Immutable straight-line program.
@@ -196,6 +199,12 @@ class _Builder:
             acc = i if acc is None else self._emit(XOR, acc, i)
         return acc
 
+    def apply(self, matrix, ids):
+        """matrix times the values ids: row i xor-folds the ids its
+        columns select, in column order."""
+        return [self.xor_fold(ids[j] for j in matrix.row_indices(i))
+                for i in range(matrix.rows)]
+
     def cmul(self, const, src):
         if src is None or const == 0:
             return None
@@ -209,6 +218,13 @@ class _Builder:
         return Slp(self.n_inputs, self.kinds, self.op_a, self.op_b, outputs)
 
 
+def _emit_bilinear(b: _Builder, alg: bilinear.BilinearAlgorithm, consts, ids):
+    """Q . (consts o P ids) with fixed constants: P's rows, then one cmul
+    per product, then Q's rows."""
+    prods = [b.cmul(c, w) for c, w in zip(consts, b.apply(alg.p, ids))]
+    return b.apply(alg.q, prods)
+
+
 def compile_plan(plan: cfft.CfftPlan) -> Slp:
     """Compile a transform plan into a program.
 
@@ -218,36 +234,19 @@ def compile_plan(plan: cfft.CfftPlan) -> Slp:
     """
     alg = bilinear.conv11_matrices()
     b = _Builder(plan.n)
-    p_rows = [alg.p.row_indices(t) for t in range(43)]
-    q_rows = [alg.q.row_indices(s) for s in range(11)]
-
-    lam = [plan.permutation[0]]
+    perm, consts = plan.permutation, plan.constants
+    lam = [perm[0]]
     for bi in range(len(plan.big_cosets)):
-        block = [plan.permutation[1 + 11 * bi + p] for p in range(11)]
-        consts = plan.constants[1 + 43 * bi : 1 + 43 * (bi + 1)]
-        linear = [b.xor_fold(block[j] for j in row) for row in p_rows]
-        prods = [b.cmul(c, w) for c, w in zip(consts, linear)]
-        lam.extend(b.xor_fold(prods[t] for t in row) for row in q_rows)
-
-    outputs = [
-        b.xor_fold(lam[j] for j in plan.a_matrix.row_indices(i))
-        for i in range(plan.n)
-    ]
-    return b.finish(outputs)
+        lam += _emit_bilinear(b, alg, consts[1 + 43 * bi : 44 + 43 * bi],
+                              perm[1 + 11 * bi : 12 + 11 * bi])
+    return b.finish(b.apply(plan.a_matrix, lam))
 
 
 def compile_bilinear(field, alg: bilinear.BilinearAlgorithm, y) -> Slp:
     """Fix the coefficient side of a bilinear algorithm and compile the
     resulting linear map of the data side."""
-    consts = alg.r.apply_field(list(y))
     b = _Builder(alg.p.cols)
-    linear = [b.xor_fold(alg.p.row_indices(t)) for t in range(alg.t)]
-    prods = [b.cmul(c, w) for c, w in zip(consts, linear)]
-    outputs = [
-        b.xor_fold(prods[t] for t in alg.q.row_indices(i))
-        for i in range(alg.q.rows)
-    ]
-    return b.finish(outputs)
+    return b.finish(_emit_bilinear(b, alg, alg.r.apply_field(list(y)), range(alg.p.cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -265,41 +264,33 @@ def _dedup_xors(slp: Slp) -> Slp:
     n_in = slp.n_inputs
     remap = list(range(n_in))
     seen: dict = {}
-    kinds, op_a, op_b = bytearray(), array("l"), array("l")
-    next_id = n_in
+    b = _Builder(n_in)
     for i in range(len(slp.kinds)):
-        a = remap[slp.op_a[i]]
+        x = remap[slp.op_a[i]]
         if slp.kinds[i] == XOR:
-            b = remap[slp.op_b[i]]
-            if a > b:
-                a, b = b, a
-            key = (a << 32) | b
+            y = remap[slp.op_b[i]]
+            if x > y:
+                x, y = y, x
+            key = (x << 32) | y
             hit = seen.get(key)
-            if hit is not None:
-                remap.append(hit)
-                continue
-            kinds.append(XOR)
-            op_a.append(a)
-            op_b.append(b)
-            seen[key] = next_id
+            if hit is None:
+                hit = seen[key] = b._emit(XOR, x, y)
+            remap.append(hit)
         else:
-            kinds.append(CMUL)
-            op_a.append(a)
-            op_b.append(slp.op_b[i])
-        remap.append(next_id)
-        next_id += 1
-    return Slp(n_in, kinds, op_a, op_b, [remap[o] for o in slp.outputs])
+            remap.append(b._emit(CMUL, x, slp.op_b[i]))
+    return b.finish([remap[o] for o in slp.outputs])
 
 
-def _stage_sets(slp: Slp, budget: int):
-    """The program's xor roots and their parity sets, or None over budget.
+def _stage_sets(slp: Slp):
+    """The program's xor roots and their parity sets, or None over
+    PAIR_BUDGET.
 
     A root is an xor value that a cmul reads, that is bound to an output,
     or that two or more instructions read. Each root is flattened only
     through the single-use xors below it, so every instruction is visited
     once and a set's atoms are inputs, cmul results and other roots: on a
     compiled plan, the rows of P, Q and A. Roots are taken in id order and
-    their pairs, C(|set|, 2) each, counted until the sum passes budget.
+    their pairs, C(|set|, 2) each, counted until the sum passes the budget.
     """
     n_in, kinds, op_a, op_b = slp.n_inputs, slp.kinds, slp.op_a, slp.op_b
     total = n_in + len(kinds)
@@ -328,7 +319,7 @@ def _stage_sets(slp: Slp, budget: int):
                 atoms.add(v)
         exprs.append(atoms)
         pairs += len(atoms) * (len(atoms) - 1) // 2
-        if pairs > budget:
+        if pairs > PAIR_BUDGET:
             return None
     return roots, exprs
 
@@ -441,7 +432,7 @@ def _emit_optimized(slp: Slp, roots, exprs, extractions) -> Slp:
     return builder.finish([new[o] for o in slp.outputs])
 
 
-def greedy_cse(slp: Slp, budget: int = 5_000_000) -> Slp:
+def greedy_cse(slp: Slp) -> Slp:
     """Reduce the xor count while preserving semantics and the cmul count.
 
     The program is cut at its xor roots: the values a cmul reads, that are
@@ -450,14 +441,14 @@ def greedy_cse(slp: Slp, budget: int = 5_000_000) -> Slp:
     through the single-use xors below it; on a compiled plan those are the
     rows of the P, Q and A stages, not their products. Greedy extraction
     of the most frequent atom pair then runs on the sets to its fixpoint
-    (Paar's method), and the program is re-emitted from them. The budget
+    (Paar's method), and the program is re-emitted from them. PAIR_BUDGET
     bounds the pair enumeration, sum C(|set|, 2); past it (n = 2047), or
     when a root cancels to zero, value numbering over the xor stream is
     the result. That program is also the floor: a greedy result with no
     fewer xors is dropped. On the lengths where it runs, the greedy pass
     is deterministic.
     """
-    cut = _stage_sets(slp, budget)
+    cut = _stage_sets(slp)
     deduped = _dedup_xors(slp)
     if cut is None or not all(cut[1]):
         return deduped

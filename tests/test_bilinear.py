@@ -153,6 +153,24 @@ def test_bitmatrix_rank_inverse():
         singular.inverse()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 12).flatmap(
+    lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+@example([0b01, 0b11])
+@example([0b11, 0b11])
+def test_rank_and_inverse_agree(masks):
+    n = len(masks)
+    m = BitMatrix(n, n, masks)
+    rank = m.rank()
+    assert rank == m.transpose().rank()
+    if rank == n:
+        assert m @ m.inverse() == BitMatrix.identity(n)
+        assert m.inverse() @ m == BitMatrix.identity(n)
+    else:
+        with pytest.raises(ValueError, match="singular"):
+            m.inverse()
+
+
 def test_bitmatrix_packed_matches_plain(field):
     rng = random.Random(0)
     rows = [[rng.randrange(2) for _ in range(40)] for _ in range(17)]
@@ -210,6 +228,11 @@ def test_apply_field_kernels_match_per_entry_reference(case):
     for c in range(block.shape[1]):
         assert out[:, c].tolist() == _per_entry_apply(m, block[:, c].tolist())
     assert m.apply_field(wide) == _per_entry_apply(m, wide)
+    # the same product over GF(2): bit j of the mask is vec[j]'s low bit
+    low = [v & 1 for v in vec]
+    want_bits = _per_entry_apply(m, low)
+    assert m.apply_bits(sum(b << j for j, b in enumerate(low))) == sum(
+        b << i for i, b in enumerate(want_bits))
 
 
 @pytest.mark.parametrize("bad", [2048, -1, 1.5, 1 << 70, "3"])

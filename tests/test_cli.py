@@ -94,6 +94,22 @@ def test_verify_trials_zero(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--n", "23", "--trials", "-3"),
+    ("bench", "--n", "23", "--trials", "0"),
+    ("bench", "--n", "23", "--trials", "-2"),
+])
+def test_bad_trials_rejected_at_parsing(capsys, monkeypatch, argv):
+    def no_build(*args):
+        raise AssertionError("a plan was built before --trials was checked")
+
+    monkeypatch.setattr(cli.cfft, "build_plan", no_build)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "argument --trials: must be at least" in err
+    assert out == ""
+
+
 def test_verify_corrupted_plan_fails(capsys, tmp_path, plan23):
     from cfft2047 import plan_to_json
 
@@ -152,6 +168,10 @@ def test_emit_and_parse(capsys, tmp_path, field, prog23):
     prog = Slp.from_text(out_path.read_text())
     assert prog.xor_count == prog23.xor_count
     assert prog.cmul_count == prog23.cmul_count
+    # `cse --out` is the one way to write a CSE'd program: it checks it first
+    code, _, err = run_cli(capsys, "emit", "--n", "23", "--out", str(out_path), "--cse")
+    assert code == 2
+    assert "unrecognized arguments: --cse" in err
 
 
 def test_cse_command(capsys):

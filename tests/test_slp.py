@@ -20,6 +20,7 @@ from cfft2047 import (
     greedy_cse,
     t5_matrices,
 )
+from cfft2047 import slp
 from cfft2047.slp import XOR, CMUL, _Builder, _dedup_xors, _greedy_pairs
 
 from conftest import random_vector
@@ -110,8 +111,9 @@ def test_cse_on_plan23(prog23):
     assert again.cmul_count == opt.cmul_count
 
 
-def test_cse_budget_falls_back_to_dedup(prog23):
-    opt = greedy_cse(prog23, budget=10)
+def test_cse_budget_falls_back_to_dedup(monkeypatch, prog23):
+    monkeypatch.setattr(slp, "PAIR_BUDGET", 10)
+    opt = greedy_cse(prog23)
     assert opt.xor_count <= prog23.xor_count
     assert opt.cmul_count == prog23.cmul_count
     assert equivalent(opt, prog23)
@@ -145,6 +147,25 @@ def test_cse_output_is_pinned(field, plan23, plan89, name, digest, xors):
     assert opt.xor_count == xors
     assert opt.cmul_count == prog.cmul_count
     assert hashlib.sha256(opt.to_text().encode()).hexdigest()[:16] == digest
+
+
+COMPILE_PINS = [  # n, sha256 prefix of compile_plan(plan).to_text()
+    (1, "279422952316624b"),
+    (23, "6c0f76aac163d3f9"),
+    (89, "b3e77158933febe0"),
+    (2047, "adbc4a254413c2ed"),
+]
+
+
+@pytest.mark.parametrize("n, digest", COMPILE_PINS, ids=[f"n{n}" for n, _ in COMPILE_PINS])
+def test_compile_output_is_pinned(field, prog23, plan89, prog2047, n, digest):
+    prog = {
+        1: lambda: compile_plan(build_plan(field, 1)),
+        23: lambda: prog23,
+        89: lambda: compile_plan(plan89),
+        2047: lambda: prog2047,
+    }[n]()
+    assert hashlib.sha256(prog.to_text().encode()).hexdigest()[:16] == digest
 
 
 def _fibonacci_dag(levels=40):
@@ -197,7 +218,7 @@ def _pair_work(prog):
 
 
 @pytest.mark.parametrize("name", ["conv11", "fibonacci dag"])
-def test_cse_budget_edge(field, name):
+def test_cse_budget_edge(monkeypatch, field, name):
     if name == "conv11":
         prog = _bilinear_program(field, conv11_matrices)
     else:
@@ -206,8 +227,10 @@ def test_cse_budget_edge(field, name):
     full = greedy_cse(prog)
     assert full.xor_count < deduped.xor_count
     work = _pair_work(prog)
-    assert greedy_cse(prog, work).to_text() == full.to_text()
-    assert greedy_cse(prog, work - 1).to_text() == deduped.to_text()
+    monkeypatch.setattr(slp, "PAIR_BUDGET", work)
+    assert greedy_cse(prog).to_text() == full.to_text()
+    monkeypatch.setattr(slp, "PAIR_BUDGET", work - 1)
+    assert greedy_cse(prog).to_text() == deduped.to_text()
 
 
 def _reference_pairs(exprs, first_ext_id):
