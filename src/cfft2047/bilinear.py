@@ -43,7 +43,7 @@ class BitMatrix:
     Bit j of a row mask is the entry in column j.
     """
 
-    __slots__ = ("rows", "cols", "row_masks", "_row_indices", "_gather")
+    __slots__ = ("rows", "cols", "row_masks", "_gather")
 
     def __init__(self, rows: int, cols: int, row_masks):
         row_masks = tuple(row_masks)
@@ -55,7 +55,6 @@ class BitMatrix:
         self.rows = rows
         self.cols = cols
         self.row_masks = row_masks
-        self._row_indices = None
         self._gather = None
 
     @classmethod
@@ -99,20 +98,14 @@ class BitMatrix:
         return (self.row_masks[i] >> j) & 1
 
     def row_indices(self, i: int):
-        """Column indices of the ones in row i (cached)."""
-        if self._row_indices is None:
-            self._row_indices = [None] * self.rows
-        cached = self._row_indices[i]
-        if cached is None:
-            m = self.row_masks[i]
-            out = []
-            while m:
-                low = m & -m
-                out.append(low.bit_length() - 1)
-                m ^= low
-            cached = tuple(out)
-            self._row_indices[i] = cached
-        return cached
+        """Column indices of the ones in row i."""
+        m = self.row_masks[i]
+        out = []
+        while m:
+            low = m & -m
+            out.append(low.bit_length() - 1)
+            m ^= low
+        return tuple(out)
 
     def transpose(self) -> "BitMatrix":
         masks = [0] * self.cols

@@ -121,11 +121,12 @@ def _coordinate_bits(basis: NormalBasis):
     """(2048, 11) uint8 table: row e holds the bits of decompose(e, basis).
 
     Coordinates are linear in e: those of e with top bit b are those of
-    e - 2^b xor those of x^b.
+    e - 2^b xor those of x^b, which are column b of from_poly.
     """
+    columns = basis.from_poly.transpose().row_masks
     coords = np.zeros(2048, dtype=np.uint16)
     for b in range(11):
-        coords[1 << b : 2 << b] = coords[: 1 << b] ^ decompose(1 << b, basis)
+        coords[1 << b : 2 << b] = coords[: 1 << b] ^ columns[b]
     return ((coords[:, None] >> np.arange(11, dtype=np.uint16)) & 1).astype(np.uint8)
 
 
@@ -345,7 +346,10 @@ def _require(doc: dict, key: str, valid, what: str):
 def plan_from_json(text: str) -> CfftPlan:
     """Inverse of plan_to_json. A document that is not a plan raises
     ValueError; its counts are derived from its matrices."""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("plan document is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("not a plan document")
     _require(doc, "format", lambda v: v == PLAN_FORMAT, repr(PLAN_FORMAT))

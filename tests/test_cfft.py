@@ -338,6 +338,25 @@ def test_build_plan_rejects_bad_length(field):
         build_plan(field, 11)
 
 
+@pytest.mark.parametrize("genpoly", [0x805, 0xA01])  # x^11 + x^2 + 1, x^11 + x^9 + 1
+def test_coordinate_table_matches_decompose(genpoly):
+    basis = find_normal_basis(Field(genpoly))
+    table = cfft._coordinate_bits(basis)
+    want = [decompose(e, basis) for e in range(2048)]
+    assert (table @ (1 << np.arange(11))).tolist() == want
+
+
+def test_build_plan_runs_no_row_parity_kernel(field, monkeypatch):
+    # the coordinates of x^b are read off from_poly, not computed by decompose
+    want = build_plan(field, 89)
+
+    def no_row_parity(*args):
+        raise AssertionError("build_plan called BitMatrix.apply_bits")
+
+    monkeypatch.setattr(bilinear.BitMatrix, "apply_bits", no_row_parity)
+    assert build_plan(field, 89) == want
+
+
 PLAN_KEYS = ("format", "genpoly", "n", "permutation", "constants", "a_matrix")
 
 
@@ -377,6 +396,12 @@ def test_plan_from_json_rejects_bad_genpoly(plan23, edit):
 def test_plan_from_json_rejects_non_objects(text):
     with pytest.raises(ValueError, match="not a plan document"):
         plan_from_json(text)
+
+
+def test_plan_from_json_rejects_deep_nesting():
+    # json.loads raises RecursionError on this, which is not a ValueError
+    with pytest.raises(ValueError, match="nested too deeply"):
+        plan_from_json("[" * 200_000 + "]" * 200_000)
 
 
 def test_plan_from_json_rejects_inconsistent_counts(plan23):

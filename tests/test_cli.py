@@ -81,6 +81,28 @@ def test_eval_rejects_bad_vector(capsys, tmp_path):
     assert "expected 23 elements" in err
 
 
+@pytest.mark.parametrize("element", ["5", "+0x5", "0x0_5", "\u0665", "0x", "0x1234"])
+def test_eval_rejects_malformed_element(capsys, tmp_path, element):
+    src = tmp_path / "in.hex"
+    src.write_text("0x000\n" * 3 + element + "\n" + "0x000\n" * 19)
+    code, out, err = run_cli(capsys, "eval", "--n", "23", "--in", str(src),
+                             "--out", str(tmp_path / "o.hex"))
+    assert code == 2
+    assert err.startswith(f"error: {src}: element 3 ")
+    assert "Traceback" not in err + out
+    assert not (tmp_path / "o.hex").exists()
+
+
+def test_eval_reads_short_and_uppercase_hex(capsys, tmp_path, field):
+    src = tmp_path / "in.hex"
+    dst = tmp_path / "out.hex"
+    src.write_text("0x7ff\n  0x00A \n\n0x1\n" + "0x000\n" * 20)
+    code, _, _ = run_cli(capsys, "eval", "--n", "23", "--in", str(src), "--out", str(dst))
+    assert code == 0
+    want = oracle.naive_dft(field, [0x7FF, 0xA, 1] + [0] * 20)
+    assert dst.read_text() == "".join(f"0x{v:03x}\n" for v in want)
+
+
 def test_verify_pass(capsys):
     code, out, _ = run_cli(capsys, "verify", "--n", "23", "--trials", "25")
     assert code == 0
@@ -216,6 +238,22 @@ def test_bench_plan_beats_naive_at_2047(capsys):
     assert stages["A"] == max(stages.values()), stages
 
 
+def test_bench_evaluates_each_vector_once(capsys, monkeypatch):
+    # the stage walk gives both the output and the evaluation time
+    def no_evaluate(*args):
+        raise AssertionError("bench called cfft.evaluate")
+
+    monkeypatch.setattr(cli.cfft, "evaluate", no_evaluate)
+    code, out, _ = run_cli(capsys, "bench", "--n", "23", "--trials", "2")
+    assert code == 0
+    labels = [ln.partition(":")[0] for ln in out.strip().splitlines()]
+    assert labels == [
+        "n = 23, trials = 2", "build_plan", "plan_to_json", "plan_from_json",
+        *(f"stage {name} median" for name in ("permute", "P", "mul", "Q", "A")),
+        "plan evaluation median", "naive DFT median", "speedup",
+    ]
+
+
 def test_eval_rejects_plan_missing_key(capsys, tmp_path, plan23):
     from cfft2047 import plan_to_json
 
@@ -286,6 +324,20 @@ def test_eval_and_verify_reject_bad_plan(capsys, tmp_path, plan23, edit, message
         code, out, err = run_cli(capsys, *argv, "--n", "23", "--plan", str(bad_path))
         assert code == 2, argv[0]
         assert message in err and "Traceback" not in err + out
+        assert "PASS" not in out and "FAIL" not in out
+    assert not (tmp_path / "o.hex").exists()
+
+
+def test_eval_and_verify_reject_deeply_nested_plan(capsys, tmp_path):
+    bad_path = tmp_path / "deep.json"
+    bad_path.write_text("[" * 200_000 + "]" * 200_000)
+    src = tmp_path / "in.hex"
+    src.write_text("0x000\n" * 23)
+    for argv in (["eval", "--in", str(src), "--out", str(tmp_path / "o.hex")],
+                 ["verify", "--trials", "1"]):
+        code, out, err = run_cli(capsys, *argv, "--n", "23", "--plan", str(bad_path))
+        assert code == 2, argv[0]
+        assert err.startswith("error: plan document is nested too deeply")
         assert "PASS" not in out and "FAIL" not in out
     assert not (tmp_path / "o.hex").exists()
 

@@ -150,3 +150,17 @@ def test_counting_field(field):
     assert cf.trace(1) == 1
     assert cf.inv(1) == 1
     assert cf.frobenius(2) == 4
+
+
+def test_counting_field_counts_every_mul_call(field):
+    cf = CountingField(field)
+    assert isinstance(cf, Field)
+    cf.pow(2, 11)  # 11 = 0b1011: four squarings and three products into r
+    assert cf.mult_count == 7
+    cf.trace(3)  # one squaring per conjugate
+    assert cf.mult_count == 7 + 11
+    cf.frobenius(3)
+    assert cf.mult_count == 7 + 11 + 1
+    assert cf.mul_vec([3, 5], [7, 9]).tolist() == [field.mul(3, 7), field.mul(5, 9)]
+    cf.inv(3)
+    assert cf.mult_count == 7 + 11 + 1  # neither mul_vec nor inv goes through mul
