@@ -7,6 +7,7 @@ errors. All commands are deterministic given --seed and their inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import re
@@ -294,7 +295,10 @@ def _at_least(least: int):
     return count
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; `main` dispatches on
+    args.command at call time, so the parser holds no command functions."""
     ap = argparse.ArgumentParser(
         prog="cfft2047",
         description="Build, run, verify and account DFT plans over GF(2^11).",
@@ -310,52 +314,43 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cosets", help="print the cyclotomic coset table")
     add_n(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_cosets)
 
     p = sub.add_parser("plan", help="build a plan and write it as JSON")
     add_n(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("eval", help="apply a plan to a hex vector file")
     add_n(p)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--plan", help="load this plan file instead of rebuilding")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("verify", help="run the oracle suites")
     add_n(p)
     p.add_argument("--trials", type=_at_least(0), default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--plan", help="verify this plan file instead of a fresh build")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("complexity", help="print operation counts")
     add_n(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_complexity)
 
     p = sub.add_parser("bench", help="time plan evaluation, stage by stage, "
                                      "against the naive DFT")
     add_n(p)
     p.add_argument("--trials", type=_at_least(1), default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("dump", help="print a named matrix as 0/1 rows")
     p.add_argument("name", choices=tuple(MATRICES))
-    p.set_defaults(func=cmd_dump)
 
     p = sub.add_parser("cse", help="compile a plan and reduce its xor count")
     add_n(p)
     p.add_argument("--out", help="also write the optimized program text")
-    p.set_defaults(func=cmd_cse)
 
     p = sub.add_parser("emit", help="compile a plan and write the program text")
     add_n(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_emit)
 
     return ap
 
@@ -367,7 +362,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,8 +3,10 @@
 Field elements are plain ints in [0, 2047]: bit i holds the coefficient of
 x^i, so the polynomial basis is little-endian and 0/1 are the additive and
 multiplicative identities. Elements are never wrapped in objects; instead a
-:class:`Field` instance owns the exp/log tables and is passed alongside the
-values to every routine that multiplies. Addition is just ``^``.
+:class:`Field` instance holds the exp/log tables and is passed alongside the
+values to every routine that multiplies. Addition is just ``^``. The tables
+are built once per generator polynomial and shared, read-only, by every
+Field over it.
 
 The default modulus is x^11 + x^2 + 1. Construction verifies that x
 generates the full multiplicative group of order 2047, which simultaneously
@@ -17,6 +19,10 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_GENPOLY = (1 << 11) | (1 << 2) | 1  # x^11 + x^2 + 1
+
+# genpoly -> (exp, log, exp2, logv, expv), filled by the first Field built
+# over each generator polynomial that passes the primitivity check
+_TABLES: dict = {}
 
 
 class Field:
@@ -31,7 +37,15 @@ class Field:
         self.genpoly = genpoly
         self.n = (1 << self.m) - 1  # multiplicative group order, 2047
         self.alpha = 2  # the class of x
+        tables = _TABLES.get(genpoly)
+        if tables is None:
+            tables = _TABLES[genpoly] = self._build_tables()
+        self._exp, self._log, self._exp2, self._logv, self._expv = tables
 
+    def _build_tables(self):
+        """The exp/log tables, immutable so that every Field over the same
+        generator polynomial can share them. Raises, storing nothing, when
+        x is not primitive."""
         exp = [0] * self.n
         v = 1
         for i in range(self.n):
@@ -42,10 +56,8 @@ class Field:
         log = [0] * (self.n + 1)
         for i, e in enumerate(exp):
             log[e] = i
-        self._exp = exp
-        self._log = log
         # Doubled table: exp2[la + lb] avoids a reduction mod n in mul().
-        self._exp2 = exp + exp
+        exp2 = exp + exp
 
         # Vectorised tables. log(0) is a sentinel large enough that any sum
         # involving it lands in the zero-filled tail of the exp table, so a
@@ -53,11 +65,11 @@ class Field:
         sentinel = 2 * self.n
         logv = np.empty(self.n + 1, dtype=np.int32)
         logv[0] = sentinel
-        logv[1:] = np.array(log[1:], dtype=np.int32)
+        logv[1:] = log[1:]
         expv = np.zeros(4 * self.n + 1, dtype=np.int16)
-        expv[: 2 * self.n] = np.array(self._exp2, dtype=np.int16)
-        self._logv = logv
-        self._expv = expv
+        expv[: 2 * self.n] = exp2
+        logv.flags.writeable = expv.flags.writeable = False
+        return tuple(exp), tuple(log), tuple(exp2), logv, expv
 
     def _mulx(self, a: int) -> int:
         a <<= 1

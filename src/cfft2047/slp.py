@@ -257,28 +257,50 @@ def compile_bilinear(field, alg: bilinear.BilinearAlgorithm, y) -> Slp:
 def _dedup_xors(slp: Slp) -> Slp:
     """Value numbering over xor instructions only.
 
-    Cmul instructions are remapped but never merged, so the cmul count is
-    untouched. A single in-order pass reaches the fixpoint because operand
-    remapping only ever points at earlier results.
+    x ^ x is zero, and an xor with zero is its other operand. A zero is
+    emitted, as one `xor x x`, only where a cmul reads it or an output is
+    bound to it. Cmul instructions are remapped but never merged, so the
+    cmul count is untouched. A single in-order pass reaches the fixpoint
+    because operand remapping only ever points at earlier results.
     """
-    n_in = slp.n_inputs
-    remap = list(range(n_in))
+    n_in, kinds, op_a, op_b = slp.n_inputs, slp.kinds, slp.op_a, slp.op_b
+    remap = list(range(n_in))  # -1 is zero, which sorts below every id
     seen: dict = {}
     b = _Builder(n_in)
-    for i in range(len(slp.kinds)):
-        x = remap[slp.op_a[i]]
-        if slp.kinds[i] == XOR:
-            y = remap[slp.op_b[i]]
+    emit = b._emit
+    zero_of = None  # the first x seen in an x ^ x
+    zero = None  # the id of the emitted zero_of ^ zero_of
+
+    def read(v):  # v as a cmul operand or an output binding
+        nonlocal zero
+        if v >= 0:
+            return v
+        if zero is None:
+            zero = emit(XOR, zero_of, zero_of)
+        return zero
+
+    for i in range(len(kinds)):
+        x = remap[op_a[i]]
+        if kinds[i] == XOR:
+            y = remap[op_b[i]]
             if x > y:
                 x, y = y, x
+            elif x == y:
+                if zero_of is None:
+                    zero_of = x
+                remap.append(-1)
+                continue
+            if x < 0:
+                remap.append(y)
+                continue
             key = (x << 32) | y
             hit = seen.get(key)
             if hit is None:
-                hit = seen[key] = b._emit(XOR, x, y)
+                hit = seen[key] = emit(XOR, x, y)
             remap.append(hit)
         else:
-            remap.append(b._emit(CMUL, x, slp.op_b[i]))
-    return b.finish([remap[o] for o in slp.outputs])
+            remap.append(emit(CMUL, read(x), op_b[i]))
+    return b.finish([read(remap[o]) for o in slp.outputs])
 
 
 def _stage_sets(slp: Slp):
@@ -331,11 +353,12 @@ def _greedy_pairs(exprs, first_ext_id):
     place; returns the extraction list [(new_id, a, b), ...].
 
     The state is an incidence matrix M (expression x atom, atoms in id
-    order, one new column per extraction) and the pair counts C = M^T M
-    with a zero diagonal. Row r caches its best pair (C[r, j], the smallest
-    such j > r), so the pick is the first maximum over rows. Extracting
-    (a, b) as w only lowers counts in columns a and b and fills column w,
-    the largest, so a cache goes stale only when its partner was a or b.
+    order, one new column per extraction) and the pair counts of M^T M above
+    the diagonal, u[r, j] for j > r. Row r caches its best pair, the first
+    maximum of u[r], so the pick is the first maximum over rows. Extracting
+    (a, b) as w changes row r only where d[r], the number of expressions
+    holding a, b and r, is nonzero, and rows a and b; those rows are
+    rescanned, and every other cache stays exact.
     """
     atom_ids = sorted(set().union(*exprs))
     if not atom_ids:
@@ -346,18 +369,15 @@ def _greedy_pairs(exprs, first_ext_id):
     members = np.fromiter(chain.from_iterable(exprs), np.int64, sum(lens))
     m[np.repeat(np.arange(len(exprs)), lens), np.searchsorted(atom_ids, members)] = True
     mf = m[:, :n_atoms].astype(np.float64)
-    c = np.zeros((cap, cap), np.int32)
-    c[:n_atoms, :n_atoms] = mf.T @ mf
-    np.fill_diagonal(c, 0)
+    u = np.zeros((cap, cap), np.int32)
+    u[:n_atoms, :n_atoms] = np.triu(mf.T @ mf, 1)
     best = np.zeros(cap, np.int32)
     partner = np.zeros(cap, np.intp)
     ncol = n_atoms
 
     def rescan(rows):
-        sub = c[rows, :ncol]
-        sub[np.arange(ncol) <= rows[:, None]] = 0
-        partner[rows] = j = sub.argmax(1)
-        best[rows] = sub[np.arange(len(rows)), j]
+        partner[rows] = j = u[rows, :ncol].argmax(1)
+        best[rows] = u[rows, j]
 
     rescan(np.arange(n_atoms))
     extractions = []
@@ -369,7 +389,7 @@ def _greedy_pairs(exprs, first_ext_id):
         if ncol == cap:
             cap *= 2
             m = np.pad(m, ((0, 0), (0, cap - ncol)))
-            c = np.pad(c, (0, cap - ncol))
+            u = np.pad(u, (0, cap - ncol))
             best = np.pad(best, (0, cap - ncol))
             partner = np.pad(partner, (0, cap - ncol))
         w = ncol
@@ -379,19 +399,13 @@ def _greedy_pairs(exprs, first_ext_id):
         d = m[hit, :ncol].sum(0, dtype=np.int32)
         d[a] = d[b] = 0
         for v in (a, b):
-            c[v, :ncol] -= d
-            c[:ncol, v] -= d
-        c[a, b] = c[b, a] = 0
-        c[w, :ncol] = d
-        c[:ncol, w] = d
+            u[:v, v] -= d[:v]
+            u[v, v + 1 : ncol] -= d[v + 1 : ncol]
+        u[a, b] = 0
+        u[:ncol, w] = d
         m[hit, a] = m[hit, b] = False
         m[hit, w] = True
-        fed = np.flatnonzero(d)
-        stale = (partner[fed] == a) | (partner[fed] == b)
-        up = fed[~stale & (d[fed] > best[fed])]
-        best[up] = d[up]
-        partner[up] = w
-        rescan(np.append(fed[stale], (a, b)))  # row w has no j > w
+        rescan(np.append(np.flatnonzero(d), (a, b)))  # row w has no j > w
 
     ids = np.concatenate((atom_ids, first_ext_id + np.arange(ncol - n_atoms)))
     for s, row in zip(exprs, m[:, :ncol]):

@@ -1,8 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cfft2047
 from cfft2047 import BitMatrix, Field, Slp, build_plan, plan_from_json, plan_to_json, oracle
 from cfft2047 import cli
 from cfft2047.cli import main
@@ -252,6 +257,46 @@ def test_bench_evaluates_each_vector_once(capsys, monkeypatch):
         *(f"stage {name} median" for name in ("permute", "P", "mul", "Q", "A")),
         "plan evaluation median", "naive DFT median", "speedup",
     ]
+
+
+def _separate_run(argv):
+    """`python -m cfft2047.cli argv` in a fresh interpreter."""
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=str(Path(cfft2047.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "cfft2047.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_main_reused_in_one_process_prints_what_separate_runs_print(capsys, monkeypatch):
+    # the parser is built once per process, so a usage error in one call
+    # must not leak into the next
+    monkeypatch.setenv("COLUMNS", "80")
+    runs = [
+        ("cosets", "--n", "23"),
+        ("eval", "--n", "23", "--out", "unused.hex"),  # --in is missing
+        ("complexity", "--n", "23", "--format", "json"),
+    ]
+    in_process = [run_cli(capsys, *argv) for argv in runs]
+    assert in_process[1][0] == 2
+    assert "the following arguments are required: --in" in in_process[1][2]
+    assert in_process == [_separate_run(argv) for argv in runs]
+
+
+def test_main_dispatches_on_the_command_at_call_time(capsys, monkeypatch, tmp_path):
+    assert run_cli(capsys, "cosets", "--n", "1")[0] == 0
+    seen = []
+
+    def fake_plan(args):
+        seen.append((args.command, args.n, args.out))
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_plan", fake_plan)
+    out_path = str(tmp_path / "p.json")
+    assert run_cli(capsys, "plan", "--n", "23", "--out", out_path)[0] == 0
+    assert seen == [("plan", 23, out_path)]
+    assert not (tmp_path / "p.json").exists()
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_eval_rejects_plan_missing_key(capsys, tmp_path, plan23):

@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from cfft2047 import Field, CountingField
+from cfft2047 import Field, CountingField, DEFAULT_GENPOLY
+from cfft2047 import gf
 
 from conftest import schoolbook_mul, random_vector
 
@@ -137,6 +138,31 @@ def test_bad_genpoly_rejected():
         Field((1 << 11) | 2)  # constant term 0
     with pytest.raises(ValueError):
         Field((1 << 11) | (1 << 2) | (1 << 1) | 1)  # divisible by x + 1
+
+
+TABLES = ("_exp", "_log", "_exp2", "_logv", "_expv")
+
+
+def test_fields_share_read_only_tables():
+    a, b, cf = Field(), Field(DEFAULT_GENPOLY), CountingField(Field())
+    for name in TABLES:
+        assert getattr(a, name) is getattr(b, name) is getattr(cf, name)
+    for name in ("_exp", "_log", "_exp2"):
+        with pytest.raises(TypeError):
+            getattr(a, name)[3] = 0
+    for name in ("_logv", "_expv"):
+        with pytest.raises(ValueError):
+            getattr(a, name)[3] = 0
+    assert a.mul(3, 7) == b.mul(3, 7) == cf.mul(3, 7) == schoolbook_mul(3, 7)
+    assert cf.mult_count == 1
+
+
+def test_non_primitive_genpoly_raises_on_every_construction():
+    bad = (1 << 11) | (1 << 2) | (1 << 1) | 1  # divisible by x + 1
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not primitive"):
+            Field(bad)
+    assert bad not in gf._TABLES
 
 
 def test_counting_field(field):

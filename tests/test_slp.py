@@ -100,6 +100,43 @@ def test_cse_never_loses_to_value_numbering():
     assert greedy_cse(prog).to_text() == deduped.to_text()
 
 
+def _self_xors(prog):
+    return [i for i in range(prog.n_instructions)
+            if prog.kinds[i] == XOR and prog.op_a[i] == prog.op_b[i]]
+
+
+def test_dedup_drops_a_zero_that_feeds_only_xors():
+    # a = x0^x1, b = x1^x0, z = a^b is zero, c = z^x2 is x2: value
+    # numbering that kept z as `xor a a` took 3 xors
+    b = _Builder(3)
+    t_a, t_b = b._emit(XOR, 0, 1), b._emit(XOR, 1, 0)
+    t_c = b._emit(XOR, b._emit(XOR, t_a, t_b), 2)
+    prog = b.finish([t_a, t_c])
+    for opt in (_dedup_xors(prog), greedy_cse(prog)):
+        assert _self_xors(opt) == []
+        assert opt.xor_count == 1
+        assert opt.outputs[1] == 2
+        assert equivalent(opt, prog)
+
+
+def test_dedup_emits_one_zero_for_cmuls_and_outputs(field):
+    # z = (x0^x1)^(x1^x0) is read by two cmuls, an xor and an output
+    b = _Builder(3)
+    t_z = b._emit(XOR, b._emit(XOR, 0, 1), b._emit(XOR, 1, 0))
+    t_m, t_n = b._emit(CMUL, t_z, 5), b._emit(CMUL, t_z, 7)
+    prog = b.finish([t_m, t_n, b._emit(XOR, t_z, 2), t_z])
+    deduped = _dedup_xors(prog)
+    assert len(_self_xors(deduped)) == 1
+    assert deduped.xor_count == 2  # x0^x1 and the one zero
+    assert deduped.cmul_count == prog.cmul_count == 2
+    assert deduped.outputs[2] == 2
+    assert equivalent(deduped, prog)
+    rng = random.Random(4)
+    for _ in range(20):
+        f = random_vector(rng, 3)
+        assert deduped.run(field, f) == prog.run(field, f) == [0, 0, f[2], 0]
+
+
 def test_cse_on_plan23(prog23):
     opt = greedy_cse(prog23)
     assert opt.xor_count < prog23.xor_count
@@ -255,11 +292,14 @@ def _reference_pairs(exprs, first_ext_id):
 PAIRS_TWICE = [set(p) for p in combinations(range(5), 2)] * 2
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(
     exprs=st.lists(st.sets(st.integers(0, 60), max_size=10), max_size=14)
     | st.lists(st.sets(st.sampled_from((3, 9, 10, 17, 40)), min_size=1), max_size=14)
-    | st.lists(st.sets(st.integers(0, 5), min_size=2, max_size=3), max_size=30),
+    | st.lists(st.sets(st.integers(0, 5), min_size=2, max_size=3), max_size=30)
+    # many rows over few atoms, like P's and Q's: long runs of extractions
+    # in which most rows share atoms with the pair just taken
+    | st.lists(st.sets(st.integers(0, 11), min_size=2, max_size=9), max_size=43),
     gap=st.integers(0, 5),
 )
 @example(exprs=PAIRS_TWICE, gap=0)
