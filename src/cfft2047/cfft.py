@@ -149,24 +149,24 @@ class CfftPlan:
         self.a_matrix = a_matrix
         if sorted(self.permutation) != list(range(n)):
             raise ValueError("permutation is not a bijection")
+        alg = bilinear.conv11_matrices()
         nbig = len(self.big_cosets)
-        if len(self.constants) != 1 + 43 * nbig:
+        if len(self.constants) != 1 + alg.t * nbig:
             raise ValueError(
-                f"expected {1 + 43 * nbig} constants for {nbig} size-11 cosets, "
+                f"expected {1 + alg.t * nbig} constants for {nbig} size-11 cosets, "
                 f"got {len(self.constants)}"
             )
         if any(v < 0 or v > field.n for v in self.constants):
             raise ValueError("constant out of range")
         if (a_matrix.rows, a_matrix.cols) != (n, n):
             raise ValueError("recombination matrix has wrong shape")
-        alg = bilinear.conv11_matrices()
         self.mult_count = sum(1 for v in self.constants if v not in (0, 1))
         self.add_count = nbig * (
             _stage_add_count(alg.p) + _stage_add_count(alg.q)
         ) + _stage_add_count(a_matrix)
         # evaluate's gather index, and its constants as one row per product
         self._perm_index = np.array(self.permutation, dtype=np.intp)
-        self._const_rows = np.array(self.constants[1:], dtype=np.int16).reshape(nbig, 43).T
+        self._const_rows = np.array(self.constants[1:], dtype=np.int16).reshape(nbig, alg.t).T
         self._perm_index.flags.writeable = self._const_rows.flags.writeable = False
 
     @property

@@ -15,6 +15,8 @@ import statistics
 import sys
 import time
 
+import numpy as np
+
 from . import bilinear, cfft, oracle, slp
 from .gf import Field
 
@@ -253,17 +255,17 @@ def cmd_dump(args) -> int:
 
 
 def cmd_cse(args) -> int:
-    plan = _load_or_build_plan(args)
-    program = slp.compile_plan(plan)
+    field = Field()
+    program = slp.compile_plan(cfft.build_plan(field, args.n))
     optimized = slp.greedy_cse(program)
     print(
         f"n={args.n}: xor {program.xor_count} -> {optimized.xor_count}, "
         f"cmul {program.cmul_count} -> {optimized.cmul_count}"
     )
-    if not slp.equivalent(program, optimized):
-        print("FAIL optimized program is not equivalent to the compiled one")
+    if not np.array_equal(optimized.matrix(field), oracle.dft_matrix(field, args.n)):
+        print(f"FAIL optimized program does not equal the {args.n}-point DFT matrix")
         return 1
-    print("PASS optimized program is equivalent to the compiled one")
+    print(f"PASS optimized program equals the {args.n}-point DFT matrix")
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(optimized.to_text())

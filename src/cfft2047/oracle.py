@@ -27,6 +27,16 @@ def naive_dft(field, f):
     return [int(v) for v in acc]
 
 
+def dft_matrix(field, n):
+    """The n x n uint16 matrix M with M[j, i] = alpha_n^(i * j): the DFT of
+    f is M f. n must divide 2047."""
+    if n < 1 or field.n % n:
+        raise ValueError(f"transform length {n} does not divide {field.n}")
+    root = field.pow(field.alpha, field.n // n)
+    powers = np.array([field.pow(root, k) for k in range(n)], dtype=np.uint16)
+    return powers[np.outer(range(n), range(n)) % n]
+
+
 def naive_cyclic_conv(field, x, y):
     """z_i = sum_j x_j y_{(i-j) mod k} over the field."""
     if len(x) != len(y):

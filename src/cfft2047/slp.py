@@ -13,11 +13,10 @@ header that makes the file self-describing):
     t13 = cmul 0x1a9 t12
     out0 = t13
 
-`run` interprets a program on one input vector. `equivalent` compares two
-programs without running them: each output becomes a parity set over atoms
-(the inputs and the cmul results), and equal sets prove that the programs
-agree on every input. That is how the rewrites `greedy_cse` makes to the
-multi-million instruction n = 2047 program are checked.
+`run` interprets a program on one input vector. Every instruction is
+GF(2^11)-linear, so a program is fixed by its matrix, which `matrix` finds
+in one run. `equivalent` compares two programs' matrices, and a compiled
+plan is proved by comparing its matrix with `oracle.dft_matrix`.
 
 `greedy_cse` cuts a program at its xor roots, the xor values that a cmul
 reads, that are bound to an output or that two or more instructions read,
@@ -27,6 +26,7 @@ sets are the rows of the P, Q and A stage matrices.
 
 from __future__ import annotations
 
+import re
 from array import array
 from itertools import chain
 
@@ -76,6 +76,8 @@ class Slp:
     def validate(self):
         """Check topological order, operand ranges and cmul constants."""
         n = self.n_inputs
+        if n < 0:
+            raise ValueError(f"negative input count {n}")
         for i, k in enumerate(self.kinds):
             limit = n + i
             if not 0 <= self.op_a[i] < limit:
@@ -109,6 +111,38 @@ class Slp:
                 values[base + i] = mul(op_b[i], values[op_a[i]])
         return [values[o] for o in self.outputs]
 
+    def matrix(self, field):
+        """The (n_outputs, n_inputs) uint16 matrix of the program's map.
+
+        Each value is held as its row of coefficients, 16 bits per input in
+        one int, so an xor is one int xor and a cmul one `field.mul_vec`. A
+        value is dropped after its last use."""
+        n_in, n = self.n_inputs, self.n_instructions
+        width = 2 * n_in  # bytes per row
+        instructions = (range(n), self.kinds, self.op_a, self.op_b)
+        last_use = [-1] * (n_in + n)
+        for i, kind, a, b in zip(*instructions):
+            last_use[a] = i
+            if kind == XOR:
+                last_use[b] = i
+        for o in self.outputs:
+            last_use[o] = n  # never dropped
+
+        values = [1 << 16 * j for j in range(n_in)] + [None] * n
+        for i, kind, a, b in zip(*instructions):
+            if kind == XOR:
+                v = values[a] ^ values[b]
+                if last_use[b] == i:
+                    values[b] = None
+            else:
+                row = np.frombuffer(values[a].to_bytes(width, "little"), "<u2")
+                v = int.from_bytes(field.mul_vec(b, row).astype("<u2").tobytes(), "little")
+            values[n_in + i] = v
+            if last_use[a] == i:
+                values[a] = None
+        rows = b"".join(values[o].to_bytes(width, "little") for o in self.outputs)
+        return np.frombuffer(rows, "<u2").reshape(len(self.outputs), n_in)
+
     def to_text(self) -> str:
         lines = [f"slp {self.n_inputs} {len(self.outputs)}"]
         base = self.n_inputs
@@ -124,10 +158,10 @@ class Slp:
     @classmethod
     def from_text(cls, text: str) -> "Slp":
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("slp "):
+        header = lines[0].split() if lines else []
+        if len(header) != 3 or header[0] != "slp":
             raise ValueError("missing slp header line")
-        _, n_in, n_out = lines[0].split()
-        n_in, n_out = int(n_in), int(n_out)
+        n_in, n_out = (_parse_id("", count) for count in header[1:])
         kinds, op_a, op_b = bytearray(), array("l"), array("l")
         outputs = [None] * n_out
         next_id = n_in
@@ -148,12 +182,12 @@ class Slp:
                 kinds.append(XOR)
                 op_a.append(_parse_id("t", fields[1]))
                 op_b.append(_parse_id("t", fields[2]))
-            elif fields[0] == "cmul":
+            elif fields[0] == "cmul" and re.fullmatch("0x[0-9a-fA-F]+", fields[1]):
                 kinds.append(CMUL)
                 op_a.append(_parse_id("t", fields[2]))
                 op_b.append(int(fields[1], 16))
-            else:
-                raise ValueError(f"unknown instruction {fields[0]!r}")
+            else:  # also a constant that is not 0x and hex digits
+                raise ValueError(f"malformed instruction {ln!r}")
             next_id += 1
         if any(o is None for o in outputs):
             raise ValueError("missing output binding")
@@ -166,8 +200,15 @@ class Slp:
         )
 
 
+def equivalent(field, a: Slp, b: Slp) -> bool:
+    """Whether the two programs compute the same map, which holds exactly
+    when their matrices are equal, as every instruction is linear."""
+    return np.array_equal(a.matrix(field), b.matrix(field))
+
+
 def _parse_id(prefix: str, token: str) -> int:
-    """The number in a `t<digits>` or `out<digits>` token."""
+    """The number in a `t<digits>` or `out<digits>` token, or a header
+    count with no prefix; the digits are ASCII."""
     digits = token[len(prefix):]
     if not token.startswith(prefix) or not digits.isascii() or not digits.isdigit():
         raise ValueError(f"expected {prefix}<digits>, got {token!r}")
@@ -233,12 +274,13 @@ def compile_plan(plan: cfft.CfftPlan) -> Slp:
     plan counts them).
     """
     alg = bilinear.conv11_matrices()
+    t, k = alg.t, alg.p.cols  # products and inputs per size-11 coset
     b = _Builder(plan.n)
     perm, consts = plan.permutation, plan.constants
     lam = [perm[0]]
     for bi in range(len(plan.big_cosets)):
-        lam += _emit_bilinear(b, alg, consts[1 + 43 * bi : 44 + 43 * bi],
-                              perm[1 + 11 * bi : 12 + 11 * bi])
+        lam += _emit_bilinear(b, alg, consts[1 + t * bi : 1 + t * (bi + 1)],
+                              perm[1 + k * bi : 1 + k * (bi + 1)])
     return b.finish(b.apply(plan.a_matrix, lam))
 
 
@@ -472,62 +514,3 @@ def greedy_cse(slp: Slp) -> Slp:
     if optimized.xor_count < deduped.xor_count:
         return optimized
     return deduped
-
-
-# ---------------------------------------------------------------------------
-# Exact equivalence.
-# ---------------------------------------------------------------------------
-
-
-def _parity_sets(slp: Slp, atoms: dict) -> list:
-    """Each output as a parity set of atoms, an int with bit k for atom k.
-
-    Inputs are atoms 0..n_inputs-1; every distinct (constant, operand parity
-    set) of a cmul is one further atom, numbered through `atoms`. A value is
-    dropped after its last use, which keeps the n = 2047 program's long xor
-    chains from holding millions of wide sets at once.
-    """
-    n_in, n = slp.n_inputs, slp.n_instructions
-    instructions = (range(n), slp.kinds, slp.op_a, slp.op_b)
-    last_use = [-1] * (n_in + n)
-    for i, kind, a, b in zip(*instructions):
-        last_use[a] = i
-        if kind == XOR:
-            last_use[b] = i
-    for o in slp.outputs:
-        last_use[o] = n  # never dropped
-
-    values = [1 << i for i in range(n_in)] + [None] * n
-    for i, kind, a, b in zip(*instructions):
-        if kind == XOR:
-            v = values[a] ^ values[b]
-            if last_use[b] == i:
-                values[b] = None
-        else:
-            key = (b, values[a])
-            atom = atoms.get(key)
-            if atom is None:
-                atom = atoms[key] = n_in + len(atoms)
-            v = 1 << atom
-        values[n_in + i] = v
-        if last_use[a] == i:
-            values[a] = None
-    return [values[o] for o in slp.outputs]
-
-
-def equivalent(a: Slp, b: Slp) -> bool:
-    """True when the two programs are formally equal, output by output.
-
-    Each output is reduced to a parity set over atoms: the inputs, and
-    cmul(c, x) keyed by c and the parity set of x, with one atom table
-    shared by both programs. Equal sets are equal functions, so True proves
-    the programs agree on every input: the check is sound. It is not
-    complete: a rewrite that distributes a cmul over an xor, such as
-    c*(x^y) -> c*x ^ c*y, yields different atoms and reads as not
-    equivalent. `greedy_cse` only re-associates and shares xors, which
-    never changes a parity set.
-    """
-    if a.n_inputs != b.n_inputs:
-        return False
-    atoms: dict = {}
-    return _parity_sets(a, atoms) == _parity_sets(b, atoms)

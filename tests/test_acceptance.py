@@ -8,6 +8,7 @@ import json
 import random
 import time
 
+import numpy as np
 import pytest
 
 from cfft2047 import (
@@ -20,7 +21,6 @@ from cfft2047 import (
     conv11_int,
     conv11_matrices,
     cosets,
-    equivalent,
     evaluate,
     greedy_cse,
     plan_from_json,
@@ -189,16 +189,19 @@ def test_criterion_08_direct_additive_complexity(plan2047):
     )
 
 
-def test_criterion_09_cse_on_n2047_program(prog2047):
+def test_criterion_09_cse_on_n2047_program(field, prog2047):
     optimized = greedy_cse(prog2047)
     assert optimized.xor_count < prog2047.xor_count
     assert optimized.cmul_count == prog2047.cmul_count == 7812
-    assert equivalent(optimized, prog2047)
+    dft = oracle.dft_matrix(field, 2047)
+    assert np.array_equal(prog2047.matrix(field), dft)
+    assert np.array_equal(optimized.matrix(field), dft)
     _pass(
         f"criterion 9: greedy CSE reduces the n=2047 program from "
-        f"{prog2047.xor_count} to {optimized.xor_count} xors, preserves all "
-        "7812 cmuls and is formally equivalent to it, output by output, so "
-        "equal on every input (the reference optimized count comes from a "
+        f"{prog2047.xor_count} to {optimized.xor_count} xors and preserves all "
+        "7812 cmuls; the compiled and the optimized program each have the "
+        "2047-point DFT matrix as their GF(2^11) matrix, so both equal the "
+        "DFT on every input (the reference optimized count comes from a "
         "stronger, out-of-scope algorithm)"
     )
 

@@ -206,7 +206,7 @@ def test_cse_command(capsys):
     assert code == 0
     assert "xor 552 ->" in out
     assert "cmul 84 -> 84" in out
-    assert "PASS optimized program is equivalent" in out
+    assert "PASS optimized program equals the 23-point DFT matrix" in out
 
 
 def test_cse_command_fails_on_wrong_rewrite(capsys, monkeypatch, tmp_path):
@@ -219,7 +219,7 @@ def test_cse_command_fails_on_wrong_rewrite(capsys, monkeypatch, tmp_path):
     out_path = tmp_path / "p.slp"
     code, out, _ = run_cli(capsys, "cse", "--n", "23", "--out", str(out_path))
     assert code == 1
-    assert "FAIL optimized program is not equivalent" in out
+    assert "FAIL optimized program does not equal the 23-point DFT matrix" in out
     assert not out_path.exists()
 
 

@@ -30,6 +30,16 @@ def test_naive_dft_against_double_loop(field):
         assert oracle.naive_dft(field, f) == want
 
 
+def test_dft_matrix_columns_are_unit_vector_dfts(field):
+    m = oracle.dft_matrix(field, 23)
+    assert m.shape == (23, 23)
+    for i in range(23):
+        assert m[:, i].tolist() == oracle.naive_dft(field, unit_vector(23, i))
+    assert oracle.dft_matrix(field, 1).tolist() == [[1]]
+    with pytest.raises(ValueError):
+        oracle.dft_matrix(field, 7)
+
+
 def test_naive_conv(field):
     rng = random.Random(1)
     y = random_vector(rng, 11)

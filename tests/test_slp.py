@@ -5,6 +5,7 @@ from collections import Counter
 from functools import cache
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -20,7 +21,7 @@ from cfft2047 import (
     greedy_cse,
     t5_matrices,
 )
-from cfft2047 import slp
+from cfft2047 import oracle, slp
 from cfft2047.slp import XOR, CMUL, _Builder, _dedup_xors, _greedy_pairs
 
 from conftest import random_vector
@@ -79,7 +80,7 @@ def test_cse_merges_duplicate_pair(field):
     assert prog.xor_count == 4
     opt = greedy_cse(prog)
     assert opt.xor_count == 3
-    assert equivalent(opt, prog)
+    assert equivalent(field, opt, prog)
     rng = random.Random(3)
     for _ in range(50):
         f = random_vector(rng, 4)
@@ -105,7 +106,7 @@ def _self_xors(prog):
             if prog.kinds[i] == XOR and prog.op_a[i] == prog.op_b[i]]
 
 
-def test_dedup_drops_a_zero_that_feeds_only_xors():
+def test_dedup_drops_a_zero_that_feeds_only_xors(field):
     # a = x0^x1, b = x1^x0, z = a^b is zero, c = z^x2 is x2: value
     # numbering that kept z as `xor a a` took 3 xors
     b = _Builder(3)
@@ -116,7 +117,7 @@ def test_dedup_drops_a_zero_that_feeds_only_xors():
         assert _self_xors(opt) == []
         assert opt.xor_count == 1
         assert opt.outputs[1] == 2
-        assert equivalent(opt, prog)
+        assert equivalent(field, opt, prog)
 
 
 def test_dedup_emits_one_zero_for_cmuls_and_outputs(field):
@@ -130,30 +131,30 @@ def test_dedup_emits_one_zero_for_cmuls_and_outputs(field):
     assert deduped.xor_count == 2  # x0^x1 and the one zero
     assert deduped.cmul_count == prog.cmul_count == 2
     assert deduped.outputs[2] == 2
-    assert equivalent(deduped, prog)
+    assert equivalent(field, deduped, prog)
     rng = random.Random(4)
     for _ in range(20):
         f = random_vector(rng, 3)
         assert deduped.run(field, f) == prog.run(field, f) == [0, 0, f[2], 0]
 
 
-def test_cse_on_plan23(prog23):
+def test_cse_on_plan23(field, prog23):
     opt = greedy_cse(prog23)
     assert opt.xor_count < prog23.xor_count
     assert opt.cmul_count == prog23.cmul_count
-    assert equivalent(opt, prog23)
+    assert equivalent(field, opt, prog23)
     # fixed point: a second pass changes nothing
     again = greedy_cse(opt)
     assert again.xor_count == opt.xor_count
     assert again.cmul_count == opt.cmul_count
 
 
-def test_cse_budget_falls_back_to_dedup(monkeypatch, prog23):
+def test_cse_budget_falls_back_to_dedup(monkeypatch, field, prog23):
     monkeypatch.setattr(slp, "PAIR_BUDGET", 10)
     opt = greedy_cse(prog23)
     assert opt.xor_count <= prog23.xor_count
     assert opt.cmul_count == prog23.cmul_count
-    assert equivalent(opt, prog23)
+    assert equivalent(field, opt, prog23)
 
 
 def _bilinear_program(field, matrices):
@@ -219,14 +220,14 @@ def _fibonacci_dag(levels=40):
     return b.finish(outputs + [v[-1]])
 
 
-def test_cse_cuts_shared_dag():
+def test_cse_cuts_shared_dag(field):
     prog = _fibonacci_dag()
     start = time.perf_counter()
     opt = greedy_cse(prog)
     assert time.perf_counter() - start < 0.5
     assert opt.xor_count < _dedup_xors(prog).xor_count
     assert opt.cmul_count == prog.cmul_count
-    assert equivalent(opt, prog)
+    assert equivalent(field, opt, prog)
 
 
 def _pair_work(prog):
@@ -374,6 +375,17 @@ def test_from_text_rejects_garbage():
         Slp.from_text("slp 2 1\nt2 = xor t0 t1\noutx = t2\n")  # output index not digits
     with pytest.raises(ValueError):
         Slp.from_text("slp 2 1\nt2 = xor t0 t1\nout0 = t2\nout0 = t1\n")  # bound twice
+    # int() would read each of these header counts
+    for text in ("slp -2 0\n", "slp 3 -1\n", "slp +3 1\nout0 = t0\n", "slp 3 +1\nout0 = t0\n",
+                 "slp 3_0 1\nout0 = t0\n", "slp \u0663 1\nout0 = t0\n"):
+        with pytest.raises(ValueError):
+            Slp.from_text(text)
+    # and int(c, 16) each of these constants
+    for const in ("1a9", "+0x1a9", "-0x2", "0x1_a9", "0X1a9", "0x\u0661a9", "\u0661a9"):
+        with pytest.raises(ValueError):
+            Slp.from_text(f"slp 2 1\nt2 = cmul {const} t0\nout0 = t2\n")
+    # the same line with a well-formed constant loads
+    assert Slp.from_text("slp 2 1\nt2 = cmul 0x1A9 t0\nout0 = t2\n").op_b[0] == 0x1A9
 
 
 def test_validate_rejects_bad_programs():
@@ -383,10 +395,12 @@ def test_validate_rejects_bad_programs():
         Slp(2, bytes([CMUL]), [0], [1], [2]).validate()
     with pytest.raises(ValueError):
         Slp(2, bytes([XOR]), [0], [1], [9]).validate()
+    with pytest.raises(ValueError):
+        Slp(-2, b"", [], [], []).validate()
 
 
 # ---------------------------------------------------------------------------
-# Exact equivalence.
+# Equivalence and the matrix proof.
 # ---------------------------------------------------------------------------
 
 
@@ -441,16 +455,29 @@ def _mutants(prog):
 
 
 def test_equivalent_rejects_mutants(field, prog23):
-    assert equivalent(prog23, prog23)
+    assert equivalent(field, prog23, prog23)
     rng = random.Random(9)
     f = random_vector(rng, 23)
     for name, mutant in _mutants(prog23):
         assert mutant.run(field, f) != prog23.run(field, f), name  # a real fault
-        assert not equivalent(mutant, prog23), name
-        assert not equivalent(prog23, mutant), name
+        assert not equivalent(field, mutant, prog23), name
+        assert not equivalent(field, prog23, mutant), name
 
 
-def test_equivalent_accepts_reassociated_xor_chain():
+@pytest.mark.parametrize("n", [1, 23, 89])
+def test_compile_plan_equals_dft_matrix(field, n):
+    prog = compile_plan(build_plan(field, n))
+    assert np.array_equal(prog.matrix(field), oracle.dft_matrix(field, n))
+
+
+def test_dft_matrix_rejects_mutants(field, plan89):
+    prog = compile_plan(plan89)
+    dft = oracle.dft_matrix(field, 89)
+    for name, mutant in _mutants(prog):
+        assert not np.array_equal(mutant.matrix(field), dft), name
+
+
+def test_equivalent_accepts_reassociated_xor_chain(field):
     left = _Builder(4)
     t = left.xor_fold([0, 1, 2, 3])  # ((x0 ^ x1) ^ x2) ^ x3
     right = _Builder(4)
@@ -459,24 +486,26 @@ def test_equivalent_accepts_reassociated_xor_chain():
     u = right._emit(XOR, 0, u)  # x0 ^ (x1 ^ (x2 ^ x3))
     a = left.finish([t, left.cmul(5, t)])
     b = right.finish([u, right.cmul(5, u)])
-    assert equivalent(a, b)
-    assert not equivalent(a, right.finish([u, u]))
+    assert equivalent(field, a, b)
+    assert not equivalent(field, a, right.finish([u, u]))
 
 
-def test_equivalent_is_not_complete(field):
-    # 5 * (x0 ^ x1) and 5*x0 ^ 5*x1 are equal maps but different atoms
+def test_equivalent_is_complete(field):
+    # 5 * (x0 ^ x1) and 5*x0 ^ 5*x1 are the same map written two ways
     a = _Builder(2)
     a_out = a.cmul(5, a._emit(XOR, 0, 1))
     b = _Builder(2)
     b_out = b._emit(XOR, b.cmul(5, 0), b.cmul(5, 1))
     pa, pb = a.finish([a_out]), b.finish([b_out])
-    assert pa.run(field, [3, 9]) == pb.run(field, [3, 9])
-    assert not equivalent(pa, pb)
+    assert equivalent(field, pa, pb)
+    assert pa.matrix(field).tolist() == [[5, 5]]
+    five, six = _Builder(1), _Builder(1)
+    assert not equivalent(field, five.finish([five.cmul(5, 0)]), six.finish([six.cmul(6, 0)]))
 
 
-def test_equivalent_needs_matching_shapes(prog23):
-    assert not equivalent(prog23, _with(prog23, outputs=prog23.outputs[:-1]))
-    assert not equivalent(_Builder(2).finish([0]), _Builder(3).finish([0]))
+def test_equivalent_needs_matching_shapes(field, prog23):
+    assert not equivalent(field, prog23, _with(prog23, outputs=prog23.outputs[:-1]))
+    assert not equivalent(field, _Builder(2).finish([0]), _Builder(3).finish([0]))
 
 
 N_IN = 3
@@ -508,7 +537,7 @@ def small_programs(draw):
 def test_equivalent_is_sound(field, a, b, how, data, vectors):
     if how == "cse":
         b = greedy_cse(a)
-        assert equivalent(a, b)
+        assert equivalent(field, a, b)
         assert b.cmul_count == a.cmul_count
         assert b.xor_count <= _dedup_xors(a).xor_count
     elif how == "edit" and a.n_instructions:
@@ -518,11 +547,14 @@ def test_equivalent_is_sound(field, a, b, how, data, vectors):
         op_b[i] = data.draw(st.integers(0, N_IN + i - 1) if a.kinds[i] == XOR
                             else CONSTANTS)
         b = _with(a, op_b=op_b)
-    if equivalent(a, b):
+    if equivalent(field, a, b):
         for f in vectors:
             assert a.run(field, f) == b.run(field, f)
-    if a.cmul_count == b.cmul_count == 0:
-        # xor-only programs are equal exactly when they agree on unit vectors
-        units = [[int(i == j) for j in range(N_IN)] for i in range(N_IN)]
-        agree = all(a.run(field, u) == b.run(field, u) for u in units)
-        assert equivalent(a, b) == agree
+    # a linear map is fixed by its unit vectors: column j of the matrix is
+    # the program run on unit vector j, and the programs are equal exactly
+    # when they agree on every unit vector
+    units = [[int(i == j) for j in range(N_IN)] for i in range(N_IN)]
+    for prog in (a, b):
+        assert prog.matrix(field).T.tolist() == [prog.run(field, u) for u in units]
+    agree = all(a.run(field, u) == b.run(field, u) for u in units)
+    assert equivalent(field, a, b) == agree
