@@ -37,6 +37,15 @@ def pack_rows(bits) -> list:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+def unpack_rows(masks, cols: int):
+    """(len(masks), cols) uint8 0/1 array of row masks below 2^cols; the
+    inverse of pack_rows."""
+    width = (cols + 7) // 8
+    packed = b"".join(m.to_bytes(width, "little") for m in masks)
+    packed = np.frombuffer(packed, np.uint8).reshape(len(masks), width)
+    return np.unpackbits(packed, axis=1, count=cols, bitorder="little")
+
+
 class BitMatrix:
     """Dense matrix over GF(2); rows are stored as int bitmasks.
 
@@ -59,19 +68,17 @@ class BitMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "BitMatrix":
+        """Matrix of 0/1 rows; the first row that is ragged or holds
+        another entry raises."""
         rows = [list(r) for r in rows]
         cols = len(rows[0]) if rows else 0
-        masks = []
         for r in rows:
             if len(r) != cols:
                 raise ValueError("ragged rows")
-            m = 0
-            for j, bit in enumerate(r):
-                if bit not in (0, 1):
-                    raise ValueError("entries must be 0 or 1")
-                m |= bit << j
-            masks.append(m)
-        return cls(len(rows), cols, masks)
+            if not all(bit in (0, 1) for bit in r):
+                raise ValueError("entries must be 0 or 1")
+        bits = np.array(rows, dtype=np.uint8).reshape(len(rows), cols)
+        return cls(len(rows), cols, pack_rows(bits))
 
     @classmethod
     def from_text(cls, text: str) -> "BitMatrix":
@@ -97,22 +104,16 @@ class BitMatrix:
     def entry(self, i: int, j: int) -> int:
         return (self.row_masks[i] >> j) & 1
 
+    def bits(self):
+        """(rows, cols) uint8 0/1 array of the entries."""
+        return unpack_rows(self.row_masks, self.cols)
+
     def row_indices(self, i: int):
         """Column indices of the ones in row i."""
-        m = self.row_masks[i]
-        out = []
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return tuple(out)
+        return tuple(unpack_rows([self.row_masks[i]], self.cols)[0].nonzero()[0].tolist())
 
     def transpose(self) -> "BitMatrix":
-        masks = [0] * self.cols
-        for i in range(self.rows):
-            for j in self.row_indices(i):
-                masks[j] |= 1 << i
-        return BitMatrix(self.cols, self.rows, masks)
+        return BitMatrix(self.cols, self.rows, pack_rows(self.bits().T))
 
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.rows:
@@ -137,11 +138,11 @@ class BitMatrix:
         apply_field points at an appended zero.
         """
         if self._gather is None:
-            indices = [self.row_indices(i) for i in range(self.rows)]
-            width = max(map(len, indices), default=0)
+            bits = self.bits()
+            width = int(bits.sum(axis=1).max(initial=0))
             table = np.full((self.rows, width), self.cols, dtype=np.intp)
-            for i, row in enumerate(indices):
-                table[i, : len(row)] = row
+            i, j = np.nonzero(bits)  # row by row, each row's columns in order
+            table[i, bits.cumsum(axis=1)[i, j] - 1] = j  # slot: the ones up to j
             table.flags.writeable = False
             self._gather = table
         return self._gather
@@ -228,22 +229,6 @@ def _gauss_jordan(work: list, cols: int) -> int:
                 work[r] ^= work[rank]
         rank += 1
     return rank
-
-
-def _vstack(*mats: BitMatrix) -> BitMatrix:
-    cols = mats[0].cols
-    masks = []
-    for m in mats:
-        if m.cols != cols:
-            raise ValueError("column mismatch in vstack")
-        masks.extend(m.row_masks)
-    return BitMatrix(sum(m.rows for m in mats), cols, masks)
-
-
-def _prepend_passthrough(m: BitMatrix) -> BitMatrix:
-    """[[1, 0], [0, m]]: a 1x1 identity block above-left of m."""
-    masks = [1] + [mask << 1 for mask in m.row_masks]
-    return BitMatrix(m.rows + 1, m.cols + 1, masks)
 
 
 @dataclass(frozen=True)
@@ -446,21 +431,19 @@ def conv11_matrices() -> BilinearAlgorithm:
     """
     t5 = t5_matrices()
     fwd = forward_matrix()
-    pi_r = coefficient_maps()
-    pi_p = input_maps()
+    q5 = t5.q.bits()
+    zero = np.zeros_like(q5)
 
-    r_side = _prepend_passthrough(_vstack(*(t5.r @ m for m in pi_r))) @ fwd
-    p_side = _prepend_passthrough(_vstack(*(t5.p @ m for m in pi_p))) @ fwd
+    def with_dc(core):  # [[1, 0], [0, core]]: the DC product passes through
+        rows, cols = core.shape
+        bits = np.block([[1, np.zeros((1, cols), int)], [np.zeros((rows, 1), int), core]])
+        return BitMatrix(rows + 1, cols + 1, pack_rows(bits))
 
-    q_masks = [1]
-    qm = t5.q.row_masks
-    for i in range(5):
-        q_masks.append((qm[i] << 1) | (qm[i] << 15))
-    for i in range(5):
-        q_masks.append((qm[i] << 1) | (qm[i] << 29))
-    q_blocks = BitMatrix(11, 43, q_masks)
-    q_side = output_matrix() @ q_blocks
-
+    # R and P stack one t5 block per map; Q adds the shared block into both
+    # output halves, so the blocks sit t5.t columns apart
+    r_side = with_dc(np.vstack([(t5.r @ m).bits() for m in coefficient_maps()])) @ fwd
+    p_side = with_dc(np.vstack([(t5.p @ m).bits() for m in input_maps()])) @ fwd
+    q_side = output_matrix() @ with_dc(np.block([[q5, q5, zero], [q5, zero, q5]]))
     return BilinearAlgorithm(p=p_side, r=r_side, q=q_side)
 
 

@@ -255,8 +255,9 @@ def cmd_dump(args) -> int:
 
 
 def cmd_cse(args) -> int:
-    field = Field()
-    program = slp.compile_plan(cfft.build_plan(field, args.n))
+    plan = _load_or_build_plan(args)
+    field = plan.field
+    program = slp.compile_plan(plan)
     optimized = slp.greedy_cse(program)
     print(
         f"n={args.n}: xor {program.xor_count} -> {optimized.xor_count}, "

@@ -166,7 +166,9 @@ class Slp:
         outputs = [None] * n_out
         next_id = n_in
         for ln in lines[1:]:
-            lhs, rhs = [part.strip() for part in ln.split("=", 1)]
+            lhs, eq, rhs = (part.strip() for part in ln.partition("="))
+            if not eq:
+                raise ValueError(f"malformed instruction {ln!r}")
             fields = rhs.split()
             if lhs.startswith("out"):
                 k = _parse_id("out", lhs)
@@ -243,8 +245,8 @@ class _Builder:
     def apply(self, matrix, ids):
         """matrix times the values ids: row i xor-folds the ids its
         columns select, in column order."""
-        return [self.xor_fold(ids[j] for j in matrix.row_indices(i))
-                for i in range(matrix.rows)]
+        return [self.xor_fold(ids[j] for j in row.nonzero()[0].tolist())
+                for row in matrix.bits()]
 
     def cmul(self, const, src):
         if src is None or const == 0:

@@ -86,6 +86,45 @@ def test_bitmatrix_text_matches_per_bit_reference(m):
     assert BitMatrix.from_text(text) == m
 
 
+@st.composite
+def edge_bit_matrices(draw):
+    """Shapes bit_matrices() leaves out: 0 rows, 0 columns, 41-200 columns."""
+    rows, cols = draw(st.one_of(
+        st.tuples(st.just(0), st.integers(0, 200)),
+        st.tuples(st.integers(0, 20), st.just(0)),
+        st.tuples(st.integers(1, 20), st.integers(41, 200)),
+    ))
+    mask = st.one_of(st.just(0), st.integers(0, (1 << cols) - 1))
+    return BitMatrix(rows, cols, draw(st.lists(mask, min_size=rows, max_size=rows)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(bit_matrices(), edge_bit_matrices()))
+@example(BitMatrix(0, 0, []))
+@example(BitMatrix(3, 0, [0, 0, 0]))
+@example(BitMatrix(0, 200, []))
+@example(BitMatrix(2, 200, [(1 << 200) - 1, 1 << 199]))
+def test_bit_conversions_match_per_bit_reference(m):
+    ref = [[(mask >> j) & 1 for j in range(m.cols)] for mask in m.row_masks]
+    bits = m.bits()
+    assert bits.dtype == np.uint8 and bits.shape == (m.rows, m.cols)
+    assert bits.tolist() == ref
+    assert bilinear.pack_rows(bits) == list(m.row_masks)
+    assert np.array_equal(bilinear.unpack_rows(bilinear.pack_rows(bits), m.cols), bits)
+    t = m.transpose()
+    assert (t.rows, t.cols) == (m.cols, m.rows)
+    assert t.row_masks == tuple(
+        sum(ref[i][j] << i for i in range(m.rows)) for j in range(m.cols))
+    assert t.transpose() == m
+    columns = [[j for j, bit in enumerate(row) if bit] for row in ref]
+    assert [list(m.row_indices(i)) for i in range(m.rows)] == columns
+    table = m._gather_table()
+    width = max(map(len, columns), default=0)
+    assert table.dtype == np.intp and not table.flags.writeable
+    assert table.shape == (m.rows, width)
+    assert table.tolist() == [c + [m.cols] * (width - len(c)) for c in columns]
+
+
 @pytest.mark.parametrize("shape", [(0, 0), (1, 1), (3, 7), (2, 8), (5, 9), (130, 17)])
 def test_bitmatrix_text_edge_shapes(shape):
     rows, cols = shape

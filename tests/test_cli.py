@@ -223,6 +223,19 @@ def test_cse_command_fails_on_wrong_rewrite(capsys, monkeypatch, tmp_path):
     assert not out_path.exists()
 
 
+def test_cse_takes_its_plan_from_load_or_build_plan(capsys, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("cse built a plan itself")
+
+    plan = build_plan(Field(OTHER_GENPOLY), 23)
+    monkeypatch.setattr(cli, "_load_or_build_plan", lambda args: plan)
+    monkeypatch.setattr(cli.cfft, "build_plan", no_build)
+    code, out, _ = run_cli(capsys, "cse", "--n", "23")
+    assert code == 0
+    # the proof runs over the plan's field, which is not the default one
+    assert "PASS optimized program equals the 23-point DFT matrix" in out
+
+
 def test_bench_plan_beats_naive_at_2047(capsys):
     code, out, _ = run_cli(capsys, "bench", "--n", "2047", "--trials", "3")
     assert code == 0

@@ -365,6 +365,8 @@ def test_from_text_rejects_garbage():
         Slp.from_text("slp 2 1\nout3 = t0\n")  # output index past the header's
     with pytest.raises(ValueError):
         Slp.from_text("slp 2 1\nt2 = xor t0\nout0 = t2\n")  # one operand
+    with pytest.raises(ValueError, match=r"^malformed instruction 't2 xor t0 t1'$"):
+        Slp.from_text("slp 2 1\nt2 xor t0 t1\nout0 = t2\n")  # no =
     with pytest.raises(ValueError):
         Slp.from_text("slp 2 1\nt2 = xor x0 q1\nout0 = t2\n")  # operands not t<digits>
     with pytest.raises(ValueError):
