@@ -6,7 +6,7 @@ P and R. This module holds the fixed algorithms used by the transform
 plans:
 
   * the length-5 Toeplitz product (t = 14),
-  * the length-10 Toeplitz product assembled from three length-5 calls
+  * the length-10 Toeplitz product assembled from three length-5 products
     (t = 42),
   * the 11-point cyclic convolution over characteristic-2 fields (t = 43).
 
@@ -248,6 +248,8 @@ class BilinearAlgorithm:
         return self.p.rows
 
     def apply(self, field, x, y):
+        if (len(x), len(y)) != (self.p.cols, self.r.cols):
+            raise ValueError(f"expected {self.p.cols} inputs and {self.r.cols} coefficients")
         px = self.p.apply_field(x)
         ry = self.r.apply_field(y)
         mul = field.mul
@@ -422,63 +424,58 @@ def t5_matrices() -> BilinearAlgorithm:
 
 
 @cache
+def t10_matrices() -> BilinearAlgorithm:
+    """The 42-multiplication bilinear form of the length-10 Toeplitz product.
+
+    Row i of the matrix is (r[9-i], ..., r[18-i]). With u = (x0, x1), a =
+    r[5:14], b = r[10:19] and c = r[0:9], the three length-5 products are
+    T(a)(x0 + x1), T(b - a) x1 and T(c - a) x0; the first output half adds
+    the first two, the second half the first and third. Subtraction is xor."""
+    t5 = t5_matrices()
+    a, b, c = (np.eye(9, 19, k, np.uint8) for k in (5, 10, 0))  # r[5:14], r[10:19], r[0:9]
+    q5 = t5.q.bits()
+    zero = np.zeros_like(q5)
+    return BilinearAlgorithm(
+        p=BitMatrix.from_rows(np.vstack([(t5.p @ m).bits() for m in input_maps()])),
+        r=BitMatrix.from_rows(np.vstack([t5.r.bits() @ w % 2 for w in (a, b ^ a, c ^ a)])),
+        q=BitMatrix.from_rows(np.block([[q5, q5, zero], [q5, zero, q5]])),
+    )
+
+
+@cache
 def conv11_matrices() -> BilinearAlgorithm:
     """The 43-multiplication bilinear form of 11-point cyclic convolution.
 
     Assembled from the length-5 Toeplitz form: one passthrough product for
-    the DC component plus three 14-product blocks for the 10x10 Toeplitz
-    stage, all conjugated by the forward/output transforms.
+    the DC component plus the 42-product length-10 Toeplitz form, all
+    conjugated by the forward/output transforms.
     """
-    t5 = t5_matrices()
-    fwd = forward_matrix()
-    q5 = t5.q.bits()
-    zero = np.zeros_like(q5)
+    t5, t10, fwd = t5_matrices(), t10_matrices(), forward_matrix()
 
     def with_dc(core):  # [[1, 0], [0, core]]: the DC product passes through
         rows, cols = core.shape
         bits = np.block([[1, np.zeros((1, cols), int)], [np.zeros((rows, 1), int), core]])
         return BitMatrix(rows + 1, cols + 1, pack_rows(bits))
 
-    # R and P stack one t5 block per map; Q adds the shared block into both
-    # output halves, so the blocks sit t5.t columns apart
+    # R stacks one t5 block per coefficient map of the transformed y
     r_side = with_dc(np.vstack([(t5.r @ m).bits() for m in coefficient_maps()])) @ fwd
-    p_side = with_dc(np.vstack([(t5.p @ m).bits() for m in input_maps()])) @ fwd
-    q_side = output_matrix() @ with_dc(np.block([[q5, q5, zero], [q5, zero, q5]]))
+    p_side = with_dc(t10.p.bits()) @ fwd
+    q_side = output_matrix() @ with_dc(t10.q.bits())
     return BilinearAlgorithm(p=p_side, r=r_side, q=q_side)
 
 
 def t5_apply(field, r, u):
     """Length-5 Toeplitz product with 14 field multiplications."""
-    if len(r) != 9 or len(u) != 5:
-        raise ValueError("expected 9 coefficients and 5 inputs")
     return t5_matrices().apply(field, u, r)
 
 
 def t10_apply(field, r, u):
-    """Length-10 Toeplitz product via three length-5 calls (42 products).
-
-    Coefficients: row i of the 10x10 matrix is (r[9-i], ..., r[18-i]). The
-    block identity subtracts submatrices; over characteristic 2 that
-    subtraction is XOR.
-    """
-    if len(r) != 19 or len(u) != 10:
-        raise ValueError("expected 19 coefficients and 10 inputs")
-    a = r[5:14]
-    b = r[10:19]
-    c = r[0:9]
-    x0, x1 = u[0:5], u[5:10]
-    shared = t5_apply(field, a, [p ^ q for p, q in zip(x0, x1)])
-    top = t5_apply(field, [p ^ q for p, q in zip(b, a)], x1)
-    bot = t5_apply(field, [p ^ q for p, q in zip(c, a)], x0)
-    return [p ^ q for p, q in zip(shared, top)] + [
-        p ^ q for p, q in zip(shared, bot)
-    ]
+    """Length-10 Toeplitz product via three length-5 products (42 products)."""
+    return t10_matrices().apply(field, u, r)
 
 
 def conv11_apply(field, x, y):
     """11-point cyclic convolution z_i = sum_j x_j y_{(i-j) mod 11}."""
-    if len(x) != 11 or len(y) != 11:
-        raise ValueError("expected two length-11 vectors")
     return conv11_matrices().apply(field, x, y)
 
 

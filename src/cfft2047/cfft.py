@@ -158,6 +158,8 @@ class CfftPlan:
             )
         if any(v < 0 or v > field.n for v in self.constants):
             raise ValueError("constant out of range")
+        if self.constants[0] != 1:  # evaluate and compile_plan pass f_0 through
+            raise ValueError(f"constant 0 multiplies f_0 and must be 1, got {self.constants[0]}")
         if (a_matrix.rows, a_matrix.cols) != (n, n):
             raise ValueError("recombination matrix has wrong shape")
         self.mult_count = sum(1 for v in self.constants if v not in (0, 1))

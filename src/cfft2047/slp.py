@@ -39,6 +39,8 @@ CMUL = 1
 
 # greedy_cse's bound on sum C(|set|, 2) over the parity sets it would pair
 PAIR_BUDGET = 5_000_000
+# and on the bytes of the pair pass's first incidence and pair-count matrices
+PAIR_BYTES = 1 << 26
 
 
 class Slp:
@@ -100,48 +102,49 @@ class Slp:
         """Evaluate one input vector."""
         if len(inputs) != self.n_inputs:
             raise ValueError(f"expected {self.n_inputs} inputs, got {len(inputs)}")
-        values = list(inputs) + [0] * len(self.kinds)
-        mul = field.mul
-        kinds, op_a, op_b = self.kinds, self.op_a, self.op_b
-        base = self.n_inputs
-        for i in range(len(kinds)):
-            if kinds[i] == XOR:
-                values[base + i] = values[op_a[i]] ^ values[op_b[i]]
-            else:
-                values[base + i] = mul(op_b[i], values[op_a[i]])
-        return [values[o] for o in self.outputs]
+        return self._walk(inputs, field.mul)
 
     def matrix(self, field):
         """The (n_outputs, n_inputs) uint16 matrix of the program's map.
 
         Each value is held as its row of coefficients, 16 bits per input in
-        one int, so an xor is one int xor and a cmul one `field.mul_vec`. A
-        value is dropped after its last use."""
-        n_in, n = self.n_inputs, self.n_instructions
-        width = 2 * n_in  # bytes per row
-        instructions = (range(n), self.kinds, self.op_a, self.op_b)
-        last_use = [-1] * (n_in + n)
-        for i, kind, a, b in zip(*instructions):
-            last_use[a] = i
-            if kind == XOR:
-                last_use[b] = i
-        for o in self.outputs:
-            last_use[o] = n  # never dropped
+        one int, so an xor is one int xor and a cmul one `field.mul_vec`."""
+        width = 2 * self.n_inputs  # bytes per row
 
-        values = [1 << 16 * j for j in range(n_in)] + [None] * n
-        for i, kind, a, b in zip(*instructions):
-            if kind == XOR:
-                v = values[a] ^ values[b]
-                if last_use[b] == i:
-                    values[b] = None
-            else:
-                row = np.frombuffer(values[a].to_bytes(width, "little"), "<u2")
-                v = int.from_bytes(field.mul_vec(b, row).astype("<u2").tobytes(), "little")
-            values[n_in + i] = v
-            if last_use[a] == i:
+        def mul(c, v):
+            row = np.frombuffer(v.to_bytes(width, "little"), "<u2")
+            return int.from_bytes(field.mul_vec(c, row).astype("<u2").tobytes(), "little")
+
+        rows = self._walk([1 << 16 * j for j in range(self.n_inputs)], mul)
+        rows = b"".join(v.to_bytes(width, "little") for v in rows)
+        return np.frombuffer(rows, "<u2").reshape(self.n_outputs, self.n_inputs)
+
+    def _walk(self, values, mul):
+        """The outputs of the program run on values, one per input, with
+        mul(c, v) as cmul. Each value is dropped after its last read: bit 0
+        of drops[i] is set where instruction i reads its first operand for
+        the last time, bit 1 its second (xors only); outputs are kept."""
+        n = self.n_instructions
+        at = np.arange(n, dtype=np.int32)
+        xors = np.flatnonzero(np.frombuffer(self.kinds, np.uint8) == XOR)
+        first = np.frombuffer(self.op_a, np.dtype("l"))
+        second = np.frombuffer(self.op_b, np.dtype("l"))[xors]
+        last = np.full(self.n_inputs + n, -1, np.int32)
+        np.maximum.at(last, first, at)
+        np.maximum.at(last, second, xors)
+        last[list(self.outputs)] = n
+        drops = (last[first] == at).view(np.uint8)
+        drops[xors] |= (last[second] == xors).view(np.uint8) << 1
+
+        values = list(values)
+        put = values.append
+        for kind, a, b, drop in zip(self.kinds, self.op_a, self.op_b, drops.tobytes()):
+            put(values[a] ^ values[b] if kind == XOR else mul(b, values[a]))
+            if drop & 1:
                 values[a] = None
-        rows = b"".join(values[o].to_bytes(width, "little") for o in self.outputs)
-        return np.frombuffer(rows, "<u2").reshape(len(self.outputs), n_in)
+            if drop & 2:
+                values[b] = None
+        return [values[o] for o in self.outputs]
 
     def to_text(self) -> str:
         lines = [f"slp {self.n_inputs} {len(self.outputs)}"]
@@ -162,6 +165,8 @@ class Slp:
         if len(header) != 3 or header[0] != "slp":
             raise ValueError("missing slp header line")
         n_in, n_out = (_parse_id("", count) for count in header[1:])
+        if n_out > len(lines) - 1:
+            raise ValueError(f"{n_out} outputs declared, {len(lines) - 1} lines follow")
         kinds, op_a, op_b = bytearray(), array("l"), array("l")
         outputs = [None] * n_out
         next_id = n_in
@@ -181,15 +186,17 @@ class Slp:
             if _parse_id("t", lhs) != next_id:
                 raise ValueError(f"non-sequential instruction id {lhs}")
             if fields[0] == "xor":
-                kinds.append(XOR)
-                op_a.append(_parse_id("t", fields[1]))
-                op_b.append(_parse_id("t", fields[2]))
+                kind, a, b = XOR, _parse_id("t", fields[1]), _parse_id("t", fields[2])
             elif fields[0] == "cmul" and re.fullmatch("0x[0-9a-fA-F]+", fields[1]):
-                kinds.append(CMUL)
-                op_a.append(_parse_id("t", fields[2]))
-                op_b.append(int(fields[1], 16))
+                kind, a, b = CMUL, _parse_id("t", fields[2]), int(fields[1], 16)
             else:  # also a constant that is not 0x and hex digits
                 raise ValueError(f"malformed instruction {ln!r}")
+            kinds.append(kind)
+            try:
+                op_a.append(a)
+                op_b.append(b)
+            except OverflowError:  # an id or constant past what array("l") holds
+                raise ValueError(f"malformed instruction {ln!r}") from None
             next_id += 1
         if any(o is None for o in outputs):
             raise ValueError("missing output binding")
@@ -394,7 +401,8 @@ def _greedy_pairs(exprs, first_ext_id):
     """Repeatedly extract the most frequent atom pair across all expressions.
 
     Ties break toward the lexicographically smallest pair. Mutates exprs in
-    place; returns the extraction list [(new_id, a, b), ...].
+    place; returns the extraction list [(new_id, a, b), ...], or None,
+    touching nothing, when its first matrices would pass PAIR_BYTES.
 
     The state is an incidence matrix M (expression x atom, atoms in id
     order, one new column per extraction) and the pair counts of M^T M above
@@ -408,6 +416,8 @@ def _greedy_pairs(exprs, first_ext_id):
     if not atom_ids:
         return []
     n_atoms, cap = len(atom_ids), 2 * len(atom_ids) + 2
+    if len(exprs) * cap + 4 * cap * cap > PAIR_BYTES:  # m's bools and u's int32s
+        return None
     m = np.zeros((len(exprs), cap), bool)
     lens = [len(s) for s in exprs]
     members = np.fromiter(chain.from_iterable(exprs), np.int64, sum(lens))
@@ -502,9 +512,10 @@ def greedy_cse(slp: Slp) -> Slp:
     (Paar's method), and the program is re-emitted from them. PAIR_BUDGET
     bounds the pair enumeration, sum C(|set|, 2); past it (n = 2047), or
     when a root cancels to zero, value numbering over the xor stream is
-    the result. That program is also the floor: a greedy result with no
-    fewer xors is dropped. On the lengths where it runs, the greedy pass
-    is deterministic.
+    the result, as it is when the pass's matrices would pass PAIR_BYTES.
+    That program is also the floor: a greedy result with no fewer xors is
+    dropped. On the lengths where it runs, the greedy pass is
+    deterministic.
     """
     cut = _stage_sets(slp)
     deduped = _dedup_xors(slp)
@@ -512,6 +523,8 @@ def greedy_cse(slp: Slp) -> Slp:
         return deduped
     roots, exprs = cut
     extractions = _greedy_pairs(exprs, slp.n_inputs + slp.n_instructions)
+    if extractions is None:
+        return deduped
     optimized = _emit_optimized(slp, roots, exprs, extractions)
     if optimized.xor_count < deduped.xor_count:
         return optimized

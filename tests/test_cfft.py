@@ -329,6 +329,10 @@ def test_plan_from_json_validation(plan23):
     with pytest.raises(ValueError):
         plan_from_json(json.dumps(doc))
     doc = json.loads(plan_to_json(plan23))
+    doc["constants"][0] = 5  # f_0's constant, which no stage reads
+    with pytest.raises(ValueError, match="constant 0 .* got 5"):
+        plan_from_json(json.dumps(doc))
+    doc = json.loads(plan_to_json(plan23))
     doc["a_matrix"] = doc["a_matrix"][:-1]
     with pytest.raises(ValueError):
         plan_from_json(json.dumps(doc))

@@ -355,6 +355,7 @@ BAD_PLAN_EDITS = [  # name, edit of a well-formed n = 23 document, error text
     ("permutation", lambda d: d["permutation"].__setitem__(0, 1), "bijection"),
     ("constant range", lambda d: d["constants"].__setitem__(3, 2048), "out of range"),
     ("constant count", lambda d: d["constants"].pop(), "expected 87 constants"),
+    ("constant 0", lambda d: d["constants"].__setitem__(0, 5), "constant 0"),
     ("row count", lambda d: d["a_matrix"].pop(), "has 22 rows"),
     ("row width", _set_row(4, "0000001"), "row 4"),
     ("uppercase", _set_row(4, "00000F"), "row 4"),

@@ -230,9 +230,8 @@ def test_cse_cuts_shared_dag(field):
     assert equivalent(field, opt, prog)
 
 
-def _pair_work(prog):
-    """What greedy_cse weighs against its budget, computed by recursion:
-    the atom pairs of every root's parity set, cut at the roots."""
+def _root_sets(prog):
+    """Every root's parity set, cut at the roots, computed by recursion."""
     n_in = prog.n_inputs
     reads = Counter(prog.op_a)
     reads.update(prog.op_b[i] for i in range(prog.n_instructions) if prog.kinds[i] == XOR)
@@ -250,9 +249,23 @@ def _pair_work(prog):
             return frozenset([v])
         return atoms(prog.op_a[v - n_in]) ^ atoms(prog.op_b[v - n_in])
 
-    sets = [atoms(prog.op_a[v - n_in]) ^ atoms(prog.op_b[v - n_in])
+    return [atoms(prog.op_a[v - n_in]) ^ atoms(prog.op_b[v - n_in])
             for v in range(prog.n_inputs + prog.n_instructions) if is_root(v)]
-    return sum(len(s) * (len(s) - 1) // 2 for s in sets)
+
+
+def _pair_work(prog):
+    """What greedy_cse weighs against PAIR_BUDGET: the atom pairs of every
+    root's parity set."""
+    return sum(len(s) * (len(s) - 1) // 2 for s in _root_sets(prog))
+
+
+def _pair_bytes(prog):
+    """What greedy_cse weighs against PAIR_BYTES: a bool per root and
+    column and an int32 per pair of columns, with room for as many
+    extracted atoms as there are atoms, plus two."""
+    sets = _root_sets(prog)
+    columns = 2 * len(frozenset().union(*sets)) + 2
+    return len(sets) * columns + 4 * columns**2
 
 
 @pytest.mark.parametrize("name", ["conv11", "fibonacci dag"])
@@ -264,11 +277,12 @@ def test_cse_budget_edge(monkeypatch, field, name):
     deduped = _dedup_xors(prog)
     full = greedy_cse(prog)
     assert full.xor_count < deduped.xor_count
-    work = _pair_work(prog)
-    monkeypatch.setattr(slp, "PAIR_BUDGET", work)
-    assert greedy_cse(prog).to_text() == full.to_text()
-    monkeypatch.setattr(slp, "PAIR_BUDGET", work - 1)
-    assert greedy_cse(prog).to_text() == deduped.to_text()
+    for bound, size in (("PAIR_BUDGET", _pair_work(prog)), ("PAIR_BYTES", _pair_bytes(prog))):
+        monkeypatch.setattr(slp, bound, size)
+        assert greedy_cse(prog).to_text() == full.to_text()
+        monkeypatch.setattr(slp, bound, size - 1)
+        assert greedy_cse(prog).to_text() == deduped.to_text()
+        monkeypatch.undo()
 
 
 def _reference_pairs(exprs, first_ext_id):
@@ -377,6 +391,15 @@ def test_from_text_rejects_garbage():
         Slp.from_text("slp 2 1\nt2 = xor t0 t1\noutx = t2\n")  # output index not digits
     with pytest.raises(ValueError):
         Slp.from_text("slp 2 1\nt2 = xor t0 t1\nout0 = t2\nout0 = t1\n")  # bound twice
+    # neither a memory nor an overflow error: an output count past the lines
+    # that follow, and an id and a constant past 2^63 - 1
+    for text, error in (("slp 1 99999999999\n", "outputs declared"),
+                        ("slp 1 1\nt1 = xor t0 t99999999999999999999999\nout0 = t1\n",
+                         "malformed instruction"),
+                        ("slp 1 1\nt1 = cmul 0x99999999999999999999999 t0\nout0 = t1\n",
+                         "malformed instruction")):
+        with pytest.raises(ValueError, match=error):
+            Slp.from_text(text)
     # int() would read each of these header counts
     for text in ("slp -2 0\n", "slp 3 -1\n", "slp +3 1\nout0 = t0\n", "slp 3 +1\nout0 = t0\n",
                  "slp 3_0 1\nout0 = t0\n", "slp \u0663 1\nout0 = t0\n"):
@@ -527,6 +550,27 @@ def small_programs(draw):
     return Slp(N_IN, kinds, op_a, op_b, outputs).validate()
 
 
+def _reference_run(field, prog, inputs):
+    """prog run on inputs, every value kept in a dict by id."""
+    values = dict(enumerate(inputs))
+    for i, kind in enumerate(prog.kinds):
+        a, b = prog.op_a[i], prog.op_b[i]
+        value = values[a] ^ values[b] if kind == XOR else field.mul(b, values[a])
+        values[prog.n_inputs + i] = value
+    return [values[o] for o in prog.outputs]
+
+
+# programs whose drop flags are easy to get wrong: x1 ^ x1 with x1 read
+# again, an output bound to an input, both outputs bound to one id, and a
+# cmul by 3 while id 3 is still read
+WALK_EDGES = [
+    Slp(N_IN, [XOR, XOR], [1, 1], [1, 2], [3, 4]),
+    Slp(N_IN, [XOR], [0], [1], [0, 3]),
+    Slp(N_IN, [XOR, XOR], [0, 3], [1, 2], [3, 3]),
+    Slp(N_IN, [XOR, CMUL, XOR], [0, 2, 3], [1, 3, 4], [5, 2]),
+]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     a=small_programs(),
@@ -536,7 +580,14 @@ def small_programs(draw):
     vectors=st.lists(st.lists(st.integers(0, 2047), min_size=N_IN, max_size=N_IN),
                      min_size=1, max_size=4),
 )
+@example(a=WALK_EDGES[0], b=WALK_EDGES[1], how="independent", data=None,
+         vectors=[[5, 0x1A9, 2047]])
+@example(a=WALK_EDGES[2], b=WALK_EDGES[3], how="independent", data=None,
+         vectors=[[5, 0x1A9, 2047]])
 def test_equivalent_is_sound(field, a, b, how, data, vectors):
+    for prog in (a, b):
+        for f in vectors:
+            assert prog.run(field, f) == _reference_run(field, prog, f)
     if how == "cse":
         b = greedy_cse(a)
         assert equivalent(field, a, b)
